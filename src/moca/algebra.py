@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .errors import CarrierMismatch, ParseError, ValidationError
 from .fields import Scalar
-from .monoids import canonical_sorted, product_set
+from .monoids import canonical_sorted
 
 __all__ = [
     "AlgElem",
@@ -395,8 +395,3 @@ def serialize_matrix(mat):
     for row in mat.entries:
         lines.append(" ; ".join(str(e) for e in row))
     return "\n".join(lines) + "\n"
-
-
-def mat_support_product_bound(a, b):
-    """product_set of the operand supports; contains supp(a*b)."""
-    return product_set(a.support(), b.support())

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError
+from .fields import decode_digits
 from .monoids import canonical_sorted, product_set
 from .patterns import Pattern, SymbolAlphabet, required_domain
 
@@ -113,12 +114,12 @@ def ca_apply(rule, pattern, window):
     return Pattern(rule.monoid, "symbol", vals, alphabet=rule.alphabet)
 
 
-def _decode_digits(idx, a, k):
-    out = [0] * k
-    for pos in range(k - 1, -1, -1):
-        out[pos] = idx % a
-        idx //= a
-    return out
+def _check_space(base, exponent, budget, what):
+    """base**exponent, or BudgetExceeded naming the space as base^exponent."""
+    size = base ** exponent
+    if size > budget:
+        raise BudgetExceeded((base, exponent), budget, what)
+    return size
 
 
 def compose_rules(outer, inner, config_budget=DEFAULT_CONFIG_BUDGET):
@@ -129,13 +130,11 @@ def compose_rules(outer, inner, config_budget=DEFAULT_CONFIG_BUDGET):
         raise CarrierMismatch("composing rules over different alphabets")
     a = outer.alphabet.size
     mem = product_set(inner.memory, outer.memory) if inner.memory and outer.memory else ()
-    size = a ** len(mem)
-    if size > config_budget:
-        raise BudgetExceeded(size, config_budget, "composite rule table")
+    size = _check_space(a, len(mem), config_budget, "composite rule table")
     pos = {e: i for i, e in enumerate(mem)}
     table = []
     for idx in range(size):
-        digits = _decode_digits(idx, a, len(mem))
+        digits = decode_digits(idx, a, len(mem))
         inner_out = [inner.local([digits[pos[s * t]] for s in inner.memory])
                      for t in outer.memory]
         table.append(outer.local(inner_out))
@@ -167,7 +166,7 @@ def minimal_memory(rule):
     mem = tuple(rule.memory[i] for i in keep)
     table = []
     for idx in range(a ** len(mem)):
-        digits = _decode_digits(idx, a, len(mem))
+        digits = decode_digits(idx, a, len(mem))
         full = [0] * k
         for j, posn in enumerate(keep):
             full[posn] = digits[j]
@@ -193,7 +192,7 @@ def encode_config(pattern):
 
 def decode_config(monoid, alphabet, idx):
     els = _finite_elements(monoid)
-    digits = _decode_digits(idx, alphabet.size, len(els))
+    digits = decode_digits(idx, alphabet.size, len(els))
     return Pattern(monoid, "symbol", dict(zip(els, digits)), alphabet=alphabet)
 
 
@@ -202,14 +201,12 @@ def _local_index_grid(monoid, alphabet, memory, config_budget):
     els = _finite_elements(monoid)
     a = alphabet.size
     n = len(els)
-    total = a ** n
-    if total > config_budget:
-        raise BudgetExceeded(total, config_budget, "configuration space")
+    total = _check_space(a, n, config_budget, "configuration space")
     pos = {e: i for i, e in enumerate(els)}
     site_rows = [[pos[s * m] for s in memory] for m in els]
     grid = []
     for cfg in range(total):
-        digits = _decode_digits(cfg, a, n)
+        digits = decode_digits(cfg, a, n)
         row = []
         for t in range(n):
             li = 0
@@ -217,22 +214,28 @@ def _local_index_grid(monoid, alphabet, memory, config_budget):
                 li = li * a + digits[src]
             row.append(li)
         grid.append(row)
-    return els, grid
+    return grid
+
+
+def _global_maps(monoid, alphabet, memory, tables, config_budget):
+    """Stream (table, global map) for each table in order, from one grid; a
+    global map is the tuple of image indices of all configurations."""
+    grid = _local_index_grid(monoid, alphabet, memory, config_budget)
+    a = alphabet.size
+    for table in tables:
+        out = []
+        for row in grid:
+            idx = 0
+            for li in row:
+                idx = idx * a + table[li]
+            out.append(idx)
+        yield table, tuple(out)
 
 
 def full_map(rule, config_budget=DEFAULT_CONFIG_BUDGET):
     """The induced map on configuration indices, as a tuple; finite only."""
-    els, grid = _local_index_grid(rule.monoid, rule.alphabet, rule.memory,
-                                  config_budget)
-    a = rule.alphabet.size
-    tab = rule.table
-    out = []
-    for row in grid:
-        idx = 0
-        for li in row:
-            idx = idx * a + tab[li]
-        out.append(idx)
-    return tuple(out)
+    return next(_global_maps(rule.monoid, rule.alphabet, rule.memory,
+                             (rule.table,), config_budget))[1]
 
 
 @dataclass(frozen=True)
@@ -253,19 +256,21 @@ class SurjectivityVerdict:
         return self.ok
 
 
-def injectivity(rule, config_budget=DEFAULT_CONFIG_BUDGET):
-    fmap = full_map(rule, config_budget)
+def _injectivity_of_map(rule, fmap):
     groups = {}
     for i, out in enumerate(fmap):
         groups.setdefault(out, []).append(i)
     colliding = [g for g in groups.values() if len(g) > 1]
     if not colliding:
         return InjectivityVerdict(True, None)
-    best = min(colliding, key=lambda g: g[0])
-    c1, c2 = best[0], best[1]
+    c1, c2 = min(colliding, key=lambda g: g[0])[:2]
     return InjectivityVerdict(False, (
         decode_config(rule.monoid, rule.alphabet, c1),
         decode_config(rule.monoid, rule.alphabet, c2)))
+
+
+def injectivity(rule, config_budget=DEFAULT_CONFIG_BUDGET):
+    return _injectivity_of_map(rule, full_map(rule, config_budget))
 
 
 def surjectivity(rule, config_budget=DEFAULT_CONFIG_BUDGET):
@@ -287,7 +292,7 @@ def left_inverse(rule, config_budget=DEFAULT_CONFIG_BUDGET):
     """
     els = _finite_elements(rule.monoid)
     fmap = full_map(rule, config_budget)
-    inj = injectivity(rule, config_budget)
+    inj = _injectivity_of_map(rule, fmap)
     if not inj.ok:
         raise ValidationError("rule is not injective", witness=inj.witness)
     a = rule.alphabet.size
@@ -302,14 +307,14 @@ def left_inverse(rule, config_budget=DEFAULT_CONFIG_BUDGET):
 
 
 def all_rule_tables(alphabet_size, memory_len, rule_budget=DEFAULT_RULE_BUDGET):
-    """All local tables over a given memory length, in lexicographic order."""
+    """All local tables over a given memory length, in lexicographic order.
+
+    The rule budget is checked on the call, before the first table exists.
+    """
     a = alphabet_size
     length = a ** memory_len
-    count = a ** length
-    if count > rule_budget:
-        raise BudgetExceeded(count, rule_budget, "rule space")
-    for idx in range(count):
-        yield tuple(_decode_digits(idx, a, length))
+    count = _check_space(a, length, rule_budget, "rule space")
+    return (tuple(decode_digits(idx, a, length)) for idx in range(count))
 
 
 @dataclass(frozen=True)
@@ -322,43 +327,36 @@ class ScanReport:
     extra: dict
 
 
+def _rule_maps(monoid, alphabet, memory, rule_budget, config_budget):
+    """(memory, stream of (table, global map) over all rules in table order).
+
+    Both budgets are checked before any grid or table exists, configuration
+    space first so that the rule count a^(a^|S|) is cheap to compute."""
+    els = _finite_elements(monoid)
+    memory = tuple(els) if memory is None else tuple(memory)
+    _check_space(alphabet.size, len(els), config_budget, "configuration space")
+    tables = all_rule_tables(alphabet.size, len(memory), rule_budget)
+    return memory, _global_maps(monoid, alphabet, memory, tables, config_budget)
+
+
 def surjunctivity_scan(monoid, alphabet, memory=None,
                        rule_budget=DEFAULT_RULE_BUDGET,
                        config_budget=DEFAULT_CONFIG_BUDGET):
     """Every rule over the memory set (default: the whole monoid): does
     injective imply surjective?  Returns counts and the first failing rule."""
-    els = _finite_elements(monoid)
-    if memory is None:
-        memory = tuple(els)
-    _, grid = _local_index_grid(monoid, alphabet, memory, config_budget)
-    a = alphabet.size
-    n = len(els)
-    total_cfg = a ** n
-    inj = surj = total = 0
-    witness = None
+    memory, maps = _rule_maps(monoid, alphabet, memory, rule_budget, config_budget)
+    total = 0
     injective_tables = []
-    for table in all_rule_tables(a, len(memory), rule_budget):
+    for table, fmap in maps:
         total += 1
-        seen = set()
-        image_size = 0
-        for row in grid:
-            idx = 0
-            for li in row:
-                idx = idx * a + table[li]
-            if idx not in seen:
-                seen.add(idx)
-                image_size += 1
-        is_inj = image_size == total_cfg
-        is_surj = image_size == total_cfg
-        if is_inj:
-            inj += 1
+        # The global map sends a finite configuration set to itself, so it is
+        # injective iff its image is everything iff it is surjective: one
+        # image count gives both verdicts, and no rule can fail the law.
+        if len(set(fmap)) == len(fmap):
             injective_tables.append(table)
-        if is_surj:
-            surj += 1
-        if is_inj and not is_surj and witness is None:
-            witness = CARule(monoid, alphabet, memory, table)
-    return ScanReport(total, inj, surj, witness is None, witness,
-                      {"memory": tuple(memory), "injective_tables": injective_tables})
+    bijective = len(injective_tables)
+    return ScanReport(total, bijective, bijective, True, None,
+                      {"memory": memory, "injective_tables": injective_tables})
 
 
 def direct_finiteness_scan(monoid, alphabet, memory=None,
@@ -366,40 +364,40 @@ def direct_finiteness_scan(monoid, alphabet, memory=None,
                            config_budget=DEFAULT_CONFIG_BUDGET):
     """All ordered rule pairs over the memory set: does a one-sided identity
     force the two-sided one?  The witness, if any, is the least violating
-    pair in table order."""
-    els = _finite_elements(monoid)
-    if memory is None:
-        memory = tuple(els)
-    _, grid = _local_index_grid(monoid, alphabet, memory, config_budget)
-    a = alphabet.size
-    n = len(els)
-    total_cfg = a ** n
-    maps = []
-    tables = []
-    for table in all_rule_tables(a, len(memory), rule_budget):
-        out = []
-        for row in grid:
-            idx = 0
-            for li in row:
-                idx = idx * a + table[li]
-            out.append(idx)
-        maps.append(tuple(out))
-        tables.append(table)
-    ident = tuple(range(total_cfg))
+    pair in table order.
+
+    The configuration space is finite, so sigma(tau(c)) = c for all c makes
+    tau injective, hence bijective, and then sigma = tau^-1 is bijective as
+    well.  The scan therefore keeps only the bijective global maps, grouped
+    by map with their table indices, inverts each one and pairs it with the
+    rules whose map is that inverse: work linear in the rule count instead
+    of quadratic, with the same counts.  Every pair found is still
+    re-checked for tau(sigma(c)) = c.
+    """
+    memory, maps = _rule_maps(monoid, alphabet, memory, rule_budget, config_budget)
+    total = 0
+    bijections = {}  # global map -> [(table index, table), ...] in table order
+    for table, fmap in maps:
+        if len(set(fmap)) == len(fmap):
+            bijections.setdefault(fmap, []).append((total, table))
+        total += 1
     one_sided = 0
-    for si, smap in enumerate(maps):
-        for ti, tmap in enumerate(maps):
-            # sigma after tau
-            if all(smap[tmap[i]] == i for i in range(total_cfg)):
-                one_sided += 1
-                if tuple(tmap[smap[i]] for i in range(total_cfg)) != ident:
-                    return ScanReport(
-                        len(maps), 0, 0, False,
-                        (CARule(monoid, alphabet, memory, tables[si]),
-                         CARule(monoid, alphabet, memory, tables[ti])),
-                        {"pairs": len(maps) ** 2, "one_sided_identities": one_sided})
-    return ScanReport(len(maps), 0, 0, True, None,
-                      {"pairs": len(maps) ** 2, "one_sided_identities": one_sided})
+    failures = []
+    for tmap, taus in bijections.items():
+        smap = [0] * len(tmap)
+        for c, out in enumerate(tmap):
+            smap[out] = c
+        sigmas = bijections.get(tuple(smap), ())
+        one_sided += len(sigmas) * len(taus)
+        if sigmas and any(tmap[s] != c for c, s in enumerate(smap)):
+            failures += [(sigma, tau) for sigma in sigmas for tau in taus]
+    witness = None
+    if failures:
+        (_, sigma), (_, tau) = min(failures)
+        witness = (CARule(monoid, alphabet, memory, sigma),
+                   CARule(monoid, alphabet, memory, tau))
+    return ScanReport(total, 0, 0, witness is None, witness,
+                      {"pairs": total ** 2, "one_sided_identities": one_sided})
 
 
 def parse_rule_text(text, monoid):

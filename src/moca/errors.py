@@ -47,13 +47,21 @@ class NotFinite(MocaError):
 
 
 class BudgetExceeded(MocaError):
-    """An exhaustive scan would overrun the configured budget."""
+    """An exhaustive scan would overrun the configured budget.
+
+    `required` is the size as an int, or as a pair (base, exponent) that the
+    message renders as `base^exponent`; `.required` is always the int.
+    """
 
     def __init__(self, required, budget, what="search space"):
+        size = required
+        if isinstance(required, tuple):
+            base, exponent = required
+            required, size = base ** exponent, f"{base}^{exponent}"
         self.required = required
         self.budget = budget
         self.what = what
-        super().__init__(f"{what} of size {required} exceeds budget {budget}")
+        super().__init__(f"{what} of size {size} exceeds budget {budget}")
 
 
 class DomainError(MocaError):

@@ -28,6 +28,8 @@ __all__ = [
     "field_make",
     "rationals",
     "parse_field_spec",
+    "random_scalar",
+    "decode_digits",
     "DEFAULT_MODULI",
 ]
 
@@ -579,3 +581,19 @@ def parse_field_spec(text):
     p = int(m.group(1))
     k = int(m.group(2)) if m.group(2) is not None else 1
     return field_make(p, k)
+
+
+def random_scalar(rng, field):
+    """A uniform element of a finite field; a small random fraction over Q."""
+    if field.is_finite():
+        return field.unrank(rng.randrange(field.order))
+    return Scalar(field, Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)))
+
+
+def decode_digits(idx, base, length):
+    """The `length` base-`base` digits of idx, most significant first."""
+    out = [0] * length
+    for pos in range(length - 1, -1, -1):
+        out[pos] = idx % base
+        idx //= base
+    return out

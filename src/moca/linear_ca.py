@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import alg_from_terms, mat_from_entries
 from .errors import CarrierMismatch, NotFinite, ValidationError
-from .fields import Scalar
+from .fields import Scalar, random_scalar
 from .finiteness import flatten, gauss_rank
 from .monoids import canonical_sorted
 from .patterns import (
@@ -22,7 +22,7 @@ from .patterns import (
     indicator_pattern,
     pattern_add,
     pattern_scale,
-    vector_pattern,
+    random_vector_pattern,
 )
 
 __all__ = [
@@ -176,9 +176,9 @@ def matrix_from_action(monoid, field, d, support, action,
     rng = rng if rng is not None else random.Random(0)
     rule = LinearRule(mat)
     for _ in range(superposition_checks):
-        c1 = _random_support_pattern(rng, monoid, field, d, support)
-        c2 = _random_support_pattern(rng, monoid, field, d, support)
-        lam = _random_scalar(rng, field)
+        c1 = random_vector_pattern(rng, monoid, field, d, support)
+        c2 = random_vector_pattern(rng, monoid, field, d, support)
+        lam = random_scalar(rng, field)
         combo = pattern_add(pattern_scale(c1, lam), c2)
         got = action(combo).value(one)
         want_lin = tuple(lam * a + b for a, b in
@@ -191,18 +191,6 @@ def matrix_from_action(monoid, field, d, support, action,
                 "action is not a convolution with memory inside the given support",
                 witness=(combo, got, want_mat))
     return mat
-
-
-def _random_scalar(rng, field):
-    if field.is_finite():
-        return field.unrank(rng.randrange(field.order))
-    from fractions import Fraction
-    return Scalar(field, Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)))
-
-
-def _random_support_pattern(rng, monoid, field, d, support):
-    vals = {s: tuple(_random_scalar(rng, field) for _ in range(d)) for s in support}
-    return vector_pattern(monoid, field, d, vals)
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,17 @@ class Monoid:
         return f"<monoid {self.spec_string()}>"
 
 
+def _associativity_failure(rows):
+    """The first index triple (i, j, k) with (ij)k != i(jk), or None."""
+    n = len(rows)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
+                    return i, j, k
+    return None
+
+
 class TableMonoid(Monoid):
     """Finite monoid given by a full multiplication table.
 
@@ -146,13 +157,10 @@ class TableMonoid(Monoid):
                 raise ValidationError(
                     f"element {names[0]!r} (first listed) is not an identity",
                     witness=names[j])
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
-                        raise ValidationError(
-                            "not associative",
-                            witness=(names[i], names[j], names[k]))
+        bad = _associativity_failure(rows)
+        if bad is not None:
+            raise ValidationError("not associative",
+                                  witness=tuple(names[i] for i in bad))
         self.names = names
         self.rows = rows
         self.order = n
@@ -411,18 +419,7 @@ def enumerate_monoids(n):
         for i in range(m):
             for j in range(m):
                 rows[i + 1][j + 1] = block[i * m + j]
-        ok = True
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
+        if _associativity_failure(rows) is None:
             out.append(TableMonoid(names, rows, label=f"table{n}#{len(out)}"))
     return out
 

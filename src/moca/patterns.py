@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError
+from .fields import random_scalar
 from .monoids import canonical_sorted, product_set
 
 __all__ = [
@@ -23,6 +24,7 @@ __all__ = [
     "Pattern",
     "symbol_pattern",
     "vector_pattern",
+    "random_vector_pattern",
     "zero_vector_pattern",
     "indicator_pattern",
     "pattern_add",
@@ -137,6 +139,11 @@ def vector_pattern(monoid, field, d, mapping):
                 raise CarrierMismatch("vector entry from a different field")
         vals[site] = vec
     return Pattern(monoid, "vector", vals, field=field, d=d)
+
+
+def random_vector_pattern(rng, monoid, field, d, sites):
+    vals = {s: tuple(random_scalar(rng, field) for _ in range(d)) for s in sites}
+    return vector_pattern(monoid, field, d, vals)
 
 
 def zero_vector_pattern(monoid, field, d, window):

@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .algebra import alg_from_terms, mat_from_entries, mat_identity
 from .errors import NotFinite
-from .fields import Scalar
+from .fields import random_scalar
 from .linear_ca import lca_apply, lca_compose, matrix_from_action, rule_from_matrix
 from .monoids import canonical_sorted, product_set
-from .patterns import convolve_matrix, convolve_scalar, pattern_add, required_domain, vector_pattern
+from .patterns import convolve_matrix, convolve_scalar, pattern_add, random_vector_pattern, required_domain
 
 __all__ = [
     "element_pool",
@@ -51,12 +50,6 @@ def element_pool(monoid, max_exponent=2):
     raise NotFinite(f"no sampling pool for {kind}")
 
 
-def random_scalar(rng, field):
-    if field.is_finite():
-        return field.unrank(rng.randrange(field.order))
-    return Scalar(field, Fraction(rng.randrange(-9, 10), rng.randrange(1, 10)))
-
-
 def random_alg_elem(rng, monoid, field, pool, max_terms=2):
     pairs = [(rng.choice(pool), random_scalar(rng, field))
              for _ in range(rng.randrange(max_terms + 1))]
@@ -67,11 +60,6 @@ def random_matrix(rng, monoid, field, d, pool, max_terms=2):
     return mat_from_entries(field, monoid, [
         [random_alg_elem(rng, monoid, field, pool, max_terms) for _ in range(d)]
         for _ in range(d)])
-
-
-def random_vector_pattern(rng, monoid, field, d, sites):
-    vals = {s: tuple(random_scalar(rng, field) for _ in range(d)) for s in sites}
-    return vector_pattern(monoid, field, d, vals)
 
 
 def _monoid_units(monoid, pool):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 from .algebra import mat_from_entries, mat_identity, alg_from_terms
 from .errors import BudgetExceeded, NotFinite, ParseError, ValidationError
-from .fields import Scalar
+from .fields import Scalar, decode_digits
 from .monoids import canonical_sorted
 
 __all__ = [
@@ -179,11 +179,7 @@ def _eval_blocks(digits, pos_eqs, neg_eqs, add_t, mul_t):
 
 def _scan_range(args):
     pos_eqs, neg_eqs, add_t, mul_t, q, nvars, start, end = args
-    digits = [0] * nvars
-    idx = start
-    for pos in range(nvars - 1, -1, -1):
-        digits[pos] = idx % q
-        idx //= q
+    digits = decode_digits(start, q, nvars)
     for i in range(start, end):
         if _eval_blocks(digits, pos_eqs, neg_eqs, add_t, mul_t):
             return i
@@ -233,12 +229,7 @@ def find_model(system, field, context=None, budget=DEFAULT_SENTENCE_BUDGET,
 
     if hit is None:
         return SolveResult(False, None, None, None, None, space)
-    digits = [0] * nvars
-    idx = hit
-    for pos in range(nvars - 1, -1, -1):
-        digits[pos] = idx % q
-        idx //= q
-    assignment = tuple(digits)
+    assignment = tuple(decode_digits(hit, q, nvars))
     mat_a = mat_b = None
     if context is not None:
         monoid, support = context

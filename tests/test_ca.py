@@ -326,13 +326,38 @@ def test_surjunctivity_scan_cyclic2():
 
 
 def test_direct_finiteness_scan_cyclic2():
+    # differential against the all-pairs oracle on every monoid of order <= 3
+    for m in [cyclic(2)] + [m for n in (1, 2, 3) for m in enumerate_monoids(n)]:
+        rep = direct_finiteness_scan(m, A2)
+        total, _, one_sided, violations = oracle_scan(m, 2)
+        assert violations == 0
+        assert rep.ok and rep.witness is None
+        assert rep.total == total and rep.extra["pairs"] == total ** 2
+        assert rep.extra["one_sided_identities"] == one_sided
+        assert rep.extra["one_sided_identities"] >= 1
+
+
+def test_direct_finiteness_scan_cyclic2_alphabet3():
+    # 19683 rules, 387M ordered pairs: only bijections are ever paired
     m = cyclic(2)
-    rep = direct_finiteness_scan(m, A2)
-    _, _, one_sided, violations = oracle_scan(m, 2)
-    assert violations == 0
+    rep = direct_finiteness_scan(m, A3)
     assert rep.ok and rep.witness is None
+    assert rep.total == 19683 and rep.extra["pairs"] == 19683 ** 2
+    assert rep.extra["one_sided_identities"] == surjunctivity_scan(m, A3).injective
+
+
+def test_direct_finiteness_scan_small_memory():
+    # a memory smaller than the monoid: inverses may need more memory, so
+    # some bijections find no partner; the oracle pairs every rule
+    m = cyclic(3)
+    mem = (m.identity, m.parse_element("g"))
+    rep = direct_finiteness_scan(m, A2, memory=mem)
+    maps = [oracle_full_map(CARule(m, A2, mem, t)) for t in all_rule_tables(2, 2)]
+    ident = tuple(range(8))
+    one_sided = sum(1 for sm in maps for tm in maps
+                    if tuple(sm[x] for x in tm) == ident)
+    assert rep.ok and rep.total == 16
     assert rep.extra["one_sided_identities"] == one_sided
-    assert rep.extra["one_sided_identities"] >= 1
 
 
 def test_scan_budget_guards():
@@ -344,6 +369,20 @@ def test_scan_budget_guards():
         surjunctivity_scan(bicyclic(), A2)
     with pytest.raises(NotFinite):
         full_map(identity_rule(bicyclic(), A2))
+
+
+def test_scan_budgets_fire_before_the_grid(monkeypatch):
+    def no_grid(*args):
+        raise AssertionError("grid built before a budget check")
+    monkeypatch.setattr("moca.ca._local_index_grid", no_grid)
+    for scan in (surjunctivity_scan, direct_finiteness_scan):
+        with pytest.raises(BudgetExceeded) as exc:
+            scan(cyclic(3), A2, config_budget=4)
+        assert str(exc.value) == "configuration space of size 2^3 exceeds budget 4"
+        with pytest.raises(BudgetExceeded) as exc:
+            scan(cyclic(3), A2, rule_budget=100)
+        assert exc.value.required == 2 ** 8
+        assert str(exc.value) == "rule space of size 2^8 exceeds budget 100"
 
 
 def test_all_rule_tables_order():

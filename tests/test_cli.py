@@ -132,6 +132,15 @@ def test_scan_clean_exit():
     assert "direct finiteness: holds" in out
 
 
+def test_scan_oversize_rule_space_exits_two():
+    # 2^(2^16) rules: the size is printed as a power, never in decimal
+    for n, size in ((16, "2^65536"), (12, "2^4096")):
+        rc, out, err = run_cli(["ca-scan-surjunctivity", "--monoid",
+                                f"cyclic:{n}", "--alphabet", "2"])
+        assert rc == 2 and out == ""
+        assert err == f"error: rule space of size {size} exceeds budget 65536\n"
+
+
 def test_enumerate_counts():
     rc, out, _ = run_cli(["enumerate-monoids", "--order", "3",
                           "--format", "json"])
