@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceeded, CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError
+from .errors import CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError, _check_space
 from .fields import decode_digits
 from .monoids import canonical_sorted, product_set
 from .patterns import Pattern, SymbolAlphabet, required_domain
@@ -112,14 +112,6 @@ def ca_apply(rule, pattern, window):
     for m in window:
         vals[m] = rule.local([pattern.values[s * m] for s in rule.memory])
     return Pattern(rule.monoid, "symbol", vals, alphabet=rule.alphabet)
-
-
-def _check_space(base, exponent, budget, what):
-    """base**exponent, or BudgetExceeded naming the space as base^exponent."""
-    size = base ** exponent
-    if size > budget:
-        raise BudgetExceeded((base, exponent), budget, what)
-    return size
 
 
 def compose_rules(outer, inner, config_budget=DEFAULT_CONFIG_BUDGET):

@@ -33,7 +33,7 @@ from .ca import (
     serialize_rule,
     surjunctivity_scan,
 )
-from .errors import MocaError, ParseError, ValidationError
+from .errors import MocaError, ParseError, ValidationError, _check_space
 from .fields import parse_field_spec
 from .finiteness import bicyclic_witness, certify_two_sided
 from .linear_ca import lca_apply, matrix_from_action, rule_from_matrix
@@ -333,8 +333,12 @@ def cmd_fin_bicyclic(args):
     return 0 if rep else 1
 
 
-def _load_system(args, need_field=True):
-    """Resolve (system, field, context) from --system or monoid flags."""
+def _load_system(args, need_field=True, budget=None):
+    """Resolve (system, field, context) from --system or monoid flags.
+
+    With a budget, the assignment space of a sentence built from flags is
+    checked before the system is: it has 2*d*d*|S| variables.
+    """
     if args.system:
         system = parse_system_json(_read(args.system))
         context = None
@@ -349,6 +353,11 @@ def _load_system(args, need_field=True):
                 "need either --system or all of --monoid/--support/--dim")
         monoid = parse_monoid_spec(args.monoid)
         support = _elems(monoid, args.support)
+        if budget is not None and args.field and args.dim > 0:
+            field = parse_field_spec(args.field)
+            if field.is_finite():
+                _check_space(field.order, 2 * args.dim * args.dim * len(support),
+                             budget, "assignment space")
         _, system = build_sentence(monoid, support, args.dim)
         context = (monoid, support)
     field = None
@@ -376,8 +385,8 @@ def cmd_sentence_emit(args):
 
 
 def cmd_sentence_solve(args):
-    system, field, context = _load_system(args)
     budget = args.budget if args.budget is not None else DEFAULT_SENTENCE_BUDGET
+    system, field, context = _load_system(args, budget=budget)
     res = find_model(system, field, context=context, budget=budget,
                      workers=args.workers)
     inputs = {"field": field.name(), "dim": system.meta["d"],

@@ -50,18 +50,39 @@ class BudgetExceeded(MocaError):
     """An exhaustive scan would overrun the configured budget.
 
     `required` is the size as an int, or as a pair (base, exponent) that the
-    message renders as `base^exponent`; `.required` is always the int.
+    message renders as `base^exponent`; `.required` is always the int, and
+    for a pair it is only formed when read.
     """
 
     def __init__(self, required, budget, what="search space"):
+        self._required = required
         size = required
         if isinstance(required, tuple):
-            base, exponent = required
-            required, size = base ** exponent, f"{base}^{exponent}"
-        self.required = required
+            size = "^".join(map(str, required))
         self.budget = budget
         self.what = what
         super().__init__(f"{what} of size {size} exceeds budget {budget}")
+
+    @property
+    def required(self):
+        if isinstance(self._required, tuple):
+            base, exponent = self._required
+            return base ** exponent
+        return self._required
+
+
+def _check_space(base, exponent, budget, what):
+    """base**exponent, or BudgetExceeded naming the space as base^exponent.
+
+    An oversize space is never formed: for base >= 2, every exponent above
+    the bit length of the budget already exceeds it.
+    """
+    if base >= 2 and exponent > max(budget, 1).bit_length():
+        raise BudgetExceeded((base, exponent), budget, what)
+    size = base ** exponent
+    if size > budget:
+        raise BudgetExceeded((base, exponent), budget, what)
+    return size
 
 
 class DomainError(MocaError):

@@ -10,11 +10,21 @@ Over a finite monoid a one-sided inverse is always two-sided; certify_two_sided
 checks a claimed pair both directly and through the rank of the flattening.
 The two-generator monoid with pq = 1 is the stock counterexample once the
 finiteness hypothesis is dropped, and bicyclic_witness packages it.
+
+flat_mul and gauss_rank compute on plain ints, one branch per field kind:
+GF(p) sums integer products and reduces mod p once per cell (rank pivots
+invert with pow(x, -1, p)); GF(p^k) maps entries to ranks and uses the
+field's cached q x q rank tables; Q clears denominators, so a product cell is
+one integer over the product of a row lcm and a column lcm, and rank is
+fraction-free Bareiss elimination (Bareiss 1968) on rows scaled to integers.
+Rank stops at row-echelon form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .algebra import AlgMatrix, alg_from_terms, mat_from_entries, mat_identity
 from .errors import CarrierMismatch, NotFinite, ValidationError
@@ -105,52 +115,101 @@ def flat_zero(field, size):
 
 
 def flat_mul(a, b):
+    """Product of two flat matrices, on plain ints for every field kind."""
     if a.field != b.field:
         raise CarrierMismatch("flat matrices over different fields")
     if a.size != b.size:
         raise ValidationError("flat matrix sizes differ")
     f = a.field
     n = a.size
-    bt = list(zip(*b.rows))
     out = []
-    for i in range(n):
-        arow = a.rows[i]
-        orow = []
-        for j in range(n):
-            acc = f.zero_v
-            bcol = bt[j]
-            for k in range(n):
-                acc = f.add_v(acc, f.mul_v(arow[k], bcol[k]))
-            orow.append(acc)
-        out.append(tuple(orow))
+    if f.is_rational:
+        # scale row i of a by da[i] and column j of b by db[j], the lcms of
+        # their denominators; cell (i, j) is then one integer over da[i]*db[j]
+        db = [lcm(*(x.denominator for x in col)) for col in zip(*b.rows)]
+        b_int = [[x.numerator * (d // x.denominator) for x, d in zip(row, db)]
+                 for row in b.rows]
+        for arow in a.rows:
+            da = lcm(*(x.denominator for x in arow))
+            acc = [0] * n
+            for x, brow in zip(arow, b_int):
+                if x:
+                    m = x.numerator * (da // x.denominator)
+                    acc = [s + m * y for s, y in zip(acc, brow)]
+            out.append(tuple(Fraction(s, da * d) for s, d in zip(acc, db)))
+    elif f.k == 1:
+        p = f.p
+        for arow in a.rows:
+            acc = [0] * n
+            for x, brow in zip(arow, b.rows):
+                if x:
+                    acc = [s + x * y for s, y in zip(acc, brow)]
+            out.append(tuple(s % p for s in acc))
+    else:
+        add_t, mul_t = f.rank_tables()
+        vals = [f.unrank_v(r) for r in range(f.order)]
+        rank_v = f.rank_v
+        b_ranks = [[rank_v(y) for y in row] for row in b.rows]
+        for arow in a.rows:
+            acc = [0] * n
+            for x, brow in zip(arow, b_ranks):
+                rx = rank_v(x)
+                if rx:
+                    mrow = mul_t[rx]
+                    acc = [add_t[s][mrow[y]] for s, y in zip(acc, brow)]
+            out.append(tuple(vals[s] for s in acc))
     return FlatMatrix(f, n, tuple(out))
 
 
 def gauss_rank(flat):
-    """Exact row-echelon rank; no pivot tolerance, any exact field."""
+    """Exact rank by elimination to row-echelon form; no pivot tolerance.
+
+    Over Q, scaling a row by the lcm of its denominators keeps the rank, and
+    every Bareiss division is exact.
+    """
     f = flat.field
     n = flat.size
-    rows = [list(r) for r in flat.rows]
+    if f.is_rational:
+        rows = []
+        for row in flat.rows:
+            d = lcm(*(x.denominator for x in row))
+            rows.append([x.numerator * (d // x.denominator) for x in row])
+        prev = 1  # the previous pivot, which divides every updated entry
+    elif f.k == 1:
+        p = f.p
+        rows = [list(row) for row in flat.rows]
+    else:
+        add_t, mul_t = f.rank_tables()
+        rank_v = f.rank_v
+        rows = [[rank_v(x) for x in row] for row in flat.rows]
     rank = 0
     for col in range(n):
-        pivot = None
-        for r in range(rank, n):
-            if rows[r][col] != f.zero_v:
-                pivot = r
-                break
+        pivot = next((r for r in range(rank, n) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = f.inv_v(rows[rank][col])
-        rows[rank] = [f.mul_v(inv, x) for x in rows[rank]]
-        for r in range(n):
-            if r != rank and rows[r][col] != f.zero_v:
-                factor = rows[r][col]
-                rows[r] = [f.sub_v(x, f.mul_v(factor, y))
-                           for x, y in zip(rows[r], rows[rank])]
+        prow = rows[rank]
+        pv = prow[col]
+        if f.is_rational:
+            for r in range(rank + 1, n):
+                c = rows[r][col]
+                rows[r] = [(pv * x - c * y) // prev for x, y in zip(rows[r], prow)]
+            prev = pv
+        elif f.k == 1:
+            inv = pow(pv, -1, p)
+            for r in range(rank + 1, n):
+                c = rows[r][col]
+                if c:
+                    m = c * inv % p
+                    rows[r] = [(x - m * y) % p for x, y in zip(rows[r], prow)]
+        else:
+            inv = mul_t[pv].index(1)
+            for r in range(rank + 1, n):
+                c = rows[r][col]
+                if c:
+                    mrow = mul_t[add_t[mul_t[c][inv]].index(0)]  # times -c/pv
+                    rows[r] = [add_t[x][mrow[y]] for x, y in zip(rows[r], prow)]
         rank += 1
-        if rank == n:
-            break
     return rank
 
 

@@ -31,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .algebra import mat_from_entries, mat_identity, alg_from_terms
-from .errors import BudgetExceeded, NotFinite, ParseError, ValidationError
+from .errors import NotFinite, ParseError, ValidationError, _check_space
 from .fields import Scalar, decode_digits
 from .monoids import canonical_sorted
 
@@ -203,9 +203,7 @@ def find_model(system, field, context=None, budget=DEFAULT_SENTENCE_BUDGET,
         raise NotFinite("model search needs a finite field")
     nvars = system.nvars
     q = field.order
-    space = q ** nvars
-    if space > budget:
-        raise BudgetExceeded(space, budget, "assignment space")
+    space = _check_space(q, nvars, budget, "assignment space")
     if any(eq.impossible for eq in system.equations):
         return SolveResult(False, None, None, None, None, space,
                            reason="identity is not a product of two support elements")

@@ -141,6 +141,19 @@ def test_scan_oversize_rule_space_exits_two():
         assert err == f"error: rule space of size {size} exceeds budget 65536\n"
 
 
+def test_sentence_oversize_space_exits_two_before_building(monkeypatch):
+    # 2*12*12*20 = 5760 variables over GF(7): the space is checked from the
+    # flags and printed as a power, and the system is never built
+    def refuse(*args):
+        raise AssertionError("sentence built before the budget check")
+    monkeypatch.setattr("moca.cli.build_sentence", refuse)
+    support = ",".join(["1", "g"] + [f"g^{i}" for i in range(2, 20)])
+    rc, out, err = run_cli(["sentence", "solve", "--monoid", "cyclic:20",
+                            "--support", support, "--dim", "12", "--field", "7"])
+    assert rc == 2 and out == ""
+    assert err == "error: assignment space of size 7^5760 exceeds budget 16777216\n"
+
+
 def test_enumerate_counts():
     rc, out, _ = run_cli(["enumerate-monoids", "--order", "3",
                           "--format", "json"])

@@ -132,6 +132,127 @@ def oracle_rank_span(flat):
     return r
 
 
+def oracle_flat_mul(a, b):
+    """The generic field-method product that flat_mul replaced."""
+    f = a.field
+    n = a.size
+    bt = list(zip(*b.rows))
+    out = []
+    for i in range(n):
+        arow = a.rows[i]
+        orow = []
+        for j in range(n):
+            acc = f.zero_v
+            bcol = bt[j]
+            for k in range(n):
+                acc = f.add_v(acc, f.mul_v(arow[k], bcol[k]))
+            orow.append(acc)
+        out.append(tuple(orow))
+    return FlatMatrix(f, n, tuple(out))
+
+
+def oracle_gauss_rank(flat):
+    """The generic Gauss-Jordan rank that gauss_rank replaced."""
+    f = flat.field
+    n = flat.size
+    rows = [list(r) for r in flat.rows]
+    rank = 0
+    for col in range(n):
+        pivot = None
+        for r in range(rank, n):
+            if rows[r][col] != f.zero_v:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = f.inv_v(rows[rank][col])
+        rows[rank] = [f.mul_v(inv, x) for x in rows[rank]]
+        for r in range(n):
+            if r != rank and rows[r][col] != f.zero_v:
+                factor = rows[r][col]
+                rows[r] = [f.sub_v(x, f.mul_v(factor, y))
+                           for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == n:
+            break
+    return rank
+
+
+DIFF_FIELDS = (GF2, GF3, field_make(5), GF4, field_make(2, 3), field_make(3, 2), QQ)
+
+
+def rand_value(rng, field, big=False):
+    """A raw field value, zero about a third of the time."""
+    if rng.randrange(3) == 0:
+        return field.zero_v
+    if field.is_rational:
+        top = 10**12 if big else 10
+        return Fraction(rng.randrange(-top, top), rng.randrange(1, top))
+    return field.unrank_v(rng.randrange(field.order))
+
+
+def rand_flat(rng, f, n, big=False):
+    """A square flat matrix, often with zero, repeated or dependent rows."""
+    rows = [[rand_value(rng, f, big) for _ in range(n)] for _ in range(n)]
+    if n:
+        shape = rng.randrange(4)
+        if shape == 1:
+            rows[rng.randrange(n)] = [f.zero_v] * n
+        elif shape == 2:
+            rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+        elif shape == 3:
+            # rows past the first k are combinations of the first k
+            k = rng.randrange(n)
+            for i in range(k, n):
+                comb = [f.zero_v] * n
+                for basis in rows[:k]:
+                    c = rand_value(rng, f, big)
+                    comb = [f.add_v(x, f.mul_v(c, y)) for x, y in zip(comb, basis)]
+                rows[i] = comb
+            rng.shuffle(rows)
+    return FlatMatrix(f, n, tuple(tuple(r) for r in rows))
+
+
+def test_flat_kernel_matches_generic_oracles():
+    rng = random.Random(25)
+    for field in DIFF_FIELDS:
+        for n in range(13):
+            for _ in range(12):
+                a = rand_flat(rng, field, n)
+                b = rand_flat(rng, field, n)
+                assert gauss_rank(a) == oracle_gauss_rank(a)
+                got, want = flat_mul(a, b), oracle_flat_mul(a, b)
+                assert got == want and hash(got.rows) == hash(want.rows)
+
+
+def test_flat_kernel_rationals_large_and_hilbert():
+    for n in range(1, 9):
+        hilbert = FlatMatrix(QQ, n, tuple(tuple(Fraction(1, i + j + 1) for j in range(n))
+                                          for i in range(n)))
+        assert gauss_rank(hilbert) == oracle_gauss_rank(hilbert) == n
+        got, want = flat_mul(hilbert, hilbert), oracle_flat_mul(hilbert, hilbert)
+        assert got == want and hash(got.rows) == hash(want.rows)
+    rng = random.Random(26)
+    for n in (4, 7, 10):
+        for k in range(n + 1):
+            basis = [[rand_value(rng, QQ, big=True) for _ in range(n)] for _ in range(k)]
+            rows = []
+            for _ in range(n):
+                comb = [Fraction(0)] * n
+                for vec in basis:
+                    c = rand_value(rng, QQ, big=True)
+                    comb = [x + c * y for x, y in zip(comb, vec)]
+                rows.append(tuple(comb))
+            flat = FlatMatrix(QQ, n, tuple(rows))
+            rank = gauss_rank(flat)
+            assert rank == oracle_gauss_rank(flat) and rank <= k
+            other = rand_flat(rng, QQ, n, big=True)
+            got, want = flat_mul(flat, other), oracle_flat_mul(flat, other)
+            assert got == want and hash(got.rows) == hash(want.rows)
+            assert all(type(x) is Fraction for row in got.rows for x in row)
+
+
 def test_gauss_rank_basics():
     assert gauss_rank(flat_identity(GF2, 4)) == 4
     assert gauss_rank(flat_zero(GF3, 3)) == 0
@@ -141,7 +262,7 @@ def test_gauss_rank_basics():
 
 def test_gauss_rank_matches_span_oracle():
     rng = random.Random(24)
-    for field in (GF2, GF3):
+    for field in (GF2, GF3, field_make(5), GF4, field_make(3, 2)):
         for _ in range(30):
             n = rng.randrange(1, 5)
             rows = tuple(tuple(field.unrank(rng.randrange(field.order)).v

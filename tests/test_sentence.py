@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moca.algebra import alg_from_terms, mat_from_entries, mat_identity
-from moca.errors import BudgetExceeded, NotFinite, ParseError, ValidationError
+from moca.errors import BudgetExceeded, NotFinite, ParseError, ValidationError, _check_space
 from moca.fields import field_make, rationals
 from moca.monoids import bicyclic, cyclic, enumerate_monoids, table_monoid
 from moca.sentence import (
@@ -317,8 +317,20 @@ def test_budget_and_field_guards():
     with pytest.raises(BudgetExceeded) as exc:
         find_model(system, GF2, budget=8)
     assert exc.value.required == 16
+    assert str(exc.value) == "assignment space of size 2^4 exceeds budget 8"
+    assert find_model(system, GF2, budget=16).space == 16
     with pytest.raises(NotFinite):
         find_model(system, rationals())
+
+
+def test_space_check_is_exact_and_never_forms_an_oversize_power():
+    assert _check_space(3, 15, 3 ** 15, "space") == 3 ** 15
+    with pytest.raises(BudgetExceeded):
+        _check_space(3, 15, 3 ** 15 - 1, "space")
+    assert _check_space(1, 10 ** 18, 1, "space") == 1
+    with pytest.raises(BudgetExceeded) as exc:
+        _check_space(2, 10 ** 18, 2 ** 24, "space")
+    assert str(exc.value) == f"space of size 2^{10 ** 18} exceeds budget {2 ** 24}"
 
 
 def test_parse_system_json_errors():
