@@ -41,9 +41,10 @@ __all__ = [
 
 
 def _check_carriers(a, b):
-    if a.field is not b.field and a.field != b.field:
+    """Raise unless a and b share their field and their monoid."""
+    if a.field is not b.field:
         raise CarrierMismatch(f"mixed fields: {a.field.name()} vs {b.field.name()}")
-    if a.monoid is not b.monoid and a.monoid != b.monoid:
+    if a.monoid is not b.monoid:
         raise CarrierMismatch(
             f"mixed monoids: {a.monoid.spec_string()} vs {b.monoid.spec_string()}")
 
@@ -95,7 +96,7 @@ class AlgElem:
     def scale(self, scalar):
         if not isinstance(scalar, Scalar):
             raise ValidationError("scale expects a field scalar")
-        if scalar.field is not self.field and scalar.field != self.field:
+        if scalar.field is not self.field:
             raise CarrierMismatch(
                 f"mixed fields: {self.field.name()} vs {scalar.field.name()}")
         if scalar.is_zero():
@@ -127,9 +128,8 @@ class AlgElem:
     def __eq__(self, other):
         if not isinstance(other, AlgElem):
             return NotImplemented
-        return (self.terms == other.terms
-                and (self.field is other.field or self.field == other.field)
-                and (self.monoid is other.monoid or self.monoid == other.monoid))
+        return (self.terms == other.terms and self.field is other.field
+                and self.monoid is other.monoid)
 
     __hash__ = None
 
@@ -262,14 +262,13 @@ class AlgMatrix:
         d = len(entries)
         if d == 0 or any(len(row) != d for row in entries):
             raise ValidationError("matrix must be square and nonempty")
+        self.field = field
+        self.monoid = monoid
         for row in entries:
             for e in row:
                 if not isinstance(e, AlgElem):
                     raise ValidationError("matrix entries must be AlgElem")
-                if (e.field != field) or (e.monoid != monoid):
-                    raise CarrierMismatch("entry carrier differs from matrix carrier")
-        self.field = field
-        self.monoid = monoid
+                _check_carriers(self, e)
         self.d = d
         self.entries = entries
         self._supp = None
@@ -299,8 +298,7 @@ class AlgMatrix:
     def _check(self, other):
         if self.d != other.d:
             raise CarrierMismatch(f"dimension mismatch: {self.d} vs {other.d}")
-        if self.field != other.field or self.monoid != other.monoid:
-            raise CarrierMismatch("matrices over different carriers")
+        _check_carriers(self, other)
 
     def __mul__(self, other):
         if not isinstance(other, AlgMatrix):
@@ -321,8 +319,8 @@ class AlgMatrix:
     def __eq__(self, other):
         if not isinstance(other, AlgMatrix):
             return NotImplemented
-        return (self.d == other.d and self.field == other.field
-                and self.monoid == other.monoid and self.entries == other.entries)
+        return (self.d == other.d and self.field is other.field
+                and self.monoid is other.monoid and self.entries == other.entries)
 
     __hash__ = None
 

@@ -65,7 +65,7 @@ class CARule:
         if len({e.key for e in mem}) != len(mem):
             raise ValidationError("memory set has repeated canonical forms", witness=mem)
         for e in mem:
-            if e.monoid != self.monoid:
+            if e.monoid is not self.monoid:
                 raise CarrierMismatch("memory element from a different monoid")
         a = self.alphabet.size
         if len(tab) != a ** len(mem):
@@ -101,7 +101,7 @@ def ca_apply(rule, pattern, window):
         raise ValidationError("ca_apply needs a symbol pattern")
     if pattern.alphabet != rule.alphabet:
         raise CarrierMismatch("pattern alphabet differs from rule alphabet")
-    if pattern.monoid != rule.monoid:
+    if pattern.monoid is not rule.monoid:
         raise CarrierMismatch("pattern and rule over different monoids")
     window = list(window)
     missing = [x for x in required_domain(window, rule.memory)
@@ -116,7 +116,7 @@ def ca_apply(rule, pattern, window):
 
 def compose_rules(outer, inner, config_budget=DEFAULT_CONFIG_BUDGET):
     """The rule applying `inner` first and `outer` to the result."""
-    if outer.monoid != inner.monoid:
+    if outer.monoid is not inner.monoid:
         raise CarrierMismatch("composing rules over different monoids")
     if outer.alphabet != inner.alphabet:
         raise CarrierMismatch("composing rules over different alphabets")

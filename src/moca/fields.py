@@ -10,6 +10,11 @@ base-p value of its coefficient vector, so 0 -> 0 and 1 -> 1 always, and the
 remaining elements sort lexicographically by descending-degree coefficients.
 Deterministic witness selection everywhere else in the package leans on this
 ordering.
+
+Factories return one object per field, interned by key ((p), or (p, k,
+normalised modulus); rationals() is a singleton), so every carrier check is
+`is`; another modulus gives another field.  Primes must be below the bound
+where Miller-Rabin on the first 13 prime bases is exact.
 """
 
 from __future__ import annotations
@@ -34,15 +39,38 @@ __all__ = [
 ]
 
 
+# Miller-Rabin on the first 13 prime bases is exact below this bound
+# (Sorenson and Webster 2015); larger characteristics are rejected
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; exact for n < _MR_BOUND."""
+    if n < 2 or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _check_prime(p):
+    if p >= _MR_BOUND:
+        raise ValidationError(
+            f"characteristic too large for an exact primality test; "
+            f"p must be below {_MR_BOUND}",
+            witness=p)
+    if not _is_prime(p):
+        raise ValidationError(f"{p} is not prime", witness=p)
 
 
 # polynomial helpers over GF(p); tuples ascending degree, no trailing zeros
@@ -53,17 +81,6 @@ def _ptrim(c):
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
 
 
 def _pdivmod(a, b, p):
@@ -83,12 +100,6 @@ def _pdivmod(a, b, p):
             for i in range(db + 1):
                 a[da - db + i] = (a[da - db + i] - c * b[i]) % p
     return _ptrim(q), _ptrim(a)
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim(tuple(((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                        for i in range(n)))
 
 
 def _pmod(a, b, p):
@@ -151,11 +162,9 @@ class Scalar:
         self.v = v
 
     def _same(self, other):
-        f = self.field
-        if other.field is f or other.field == f:
-            return True
-        raise CarrierMismatch(
-            f"mixed fields: {f.name()} vs {other.field.name()}")
+        if other.field is not self.field:
+            raise CarrierMismatch(
+                f"mixed fields: {self.field.name()} vs {other.field.name()}")
 
     def __add__(self, other):
         if not isinstance(other, Scalar):
@@ -199,10 +208,10 @@ class Scalar:
     def __eq__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        return (self.field is other.field or self.field == other.field) and self.v == other.v
+        return self.field is other.field and self.v == other.v
 
     def __hash__(self):
-        return hash((self.field.key(), self.v))
+        return hash(self.v)
 
     def __str__(self):
         return self.field.literal_of_v(self.v)
@@ -255,20 +264,13 @@ class Field:
             self._rank_tables = tabs
         return tabs
 
-    def __eq__(self, other):
-        return isinstance(other, Field) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
         return f"<{self.name()}>"
 
 
 class PrimeField(Field):
     def __init__(self, p):
-        if not _is_prime(p):
-            raise ValidationError(f"{p} is not prime", witness=p)
+        _check_prime(p)
         self.p = p
         self.k = 1
         self.order = p
@@ -324,8 +326,7 @@ class PrimeField(Field):
 
 class ExtensionField(Field):
     def __init__(self, p, k, modulus=None):
-        if not _is_prime(p):
-            raise ValidationError(f"{p} is not prime", witness=p)
+        _check_prime(p)
         if k < 2:
             raise ValidationError(f"extension degree must be >= 2, got {k}")
         if modulus is None:
@@ -405,23 +406,16 @@ class ExtensionField(Field):
     def inv_v(self, a):
         if a == self.zero_v:
             raise ZeroDivisionError(f"division by zero in {self.name()}")
-        got = self._inv_cache.get(a)
-        if got is not None:
-            return got
-        p = self.p
-        # extended Euclid in GF(p)[t]; invariant r_i = s_i*a + t_i*modulus
-        r0, r1 = _ptrim(a), self.modulus
-        s0, s1 = (1,), ()
-        while r1:
-            q, r = _pdivmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-        # r0 is the gcd, a nonzero constant since the modulus is irreducible
-        c = pow(r0[0], -1, p)
-        scaled = tuple((c * x) % p for x in s0)
-        rem = _pmod(scaled, self.modulus, p)
-        inv = tuple(rem) + (0,) * (self.k - len(rem))
-        self._inv_cache[a] = inv
+        inv = self._inv_cache.get(a)
+        if inv is None:
+            # a^(q-2), since the nonzero elements form a group of order q-1
+            inv, base, e = self.one_v, a, self.order - 2
+            while e:
+                if e & 1:
+                    inv = self.mul_v(inv, base)
+                base = self.mul_v(base, base)
+                e >>= 1
+            self._inv_cache[a] = inv
         return inv
 
     def rank_v(self, a):
@@ -561,13 +555,18 @@ def rationals():
     return _RATIONALS
 
 
+_FIELDS = {}
+
+
 def field_make(p, k=1, modulus=None):
-    """Build GF(p^k); k=1 gives the prime field, modulus defaults from a table."""
+    """Build GF(p^k), then intern it by key; modulus defaults from a table."""
     if k == 1:
         if modulus is not None:
             raise ValidationError("prime fields take no modulus")
-        return PrimeField(p)
-    return ExtensionField(p, k, modulus)
+        field = PrimeField(p)
+    else:
+        field = ExtensionField(p, k, modulus)
+    return _FIELDS.setdefault(field.key(), field)
 
 
 def parse_field_spec(text):
@@ -575,7 +574,8 @@ def parse_field_spec(text):
     s = text.strip()
     if s in ("Q", "q"):
         return rationals()
-    m = re.fullmatch(r"([0-9]+)(?:\^([0-9]+))?", s)
+    # int() refuses more than 4300 digits
+    m = re.fullmatch(r"([0-9]{1,4000})(?:\^([0-9]{1,4000}))?", s)
     if not m:
         raise ParseError(f"bad field spec {text!r}; expected p, p^k, or Q")
     p = int(m.group(1))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import AlgMatrix, alg_from_terms, mat_from_entries, mat_identity
+from .algebra import AlgMatrix, _check_carriers, alg_from_terms, mat_from_entries, mat_identity
 from .errors import CarrierMismatch, NotFinite, ValidationError
 from .fields import Scalar
 from .monoids import bicyclic
@@ -55,14 +55,6 @@ class FlatMatrix:
     def __post_init__(self):
         if len(self.rows) != self.size or any(len(r) != self.size for r in self.rows):
             raise ValidationError("flat matrix is not square of the stated size")
-
-    def entry(self, i, j):
-        return Scalar(self.field, self.rows[i][j])
-
-    def is_identity(self):
-        f = self.field
-        return all(self.rows[i][j] == (f.one_v if i == j else f.zero_v)
-                   for i in range(self.size) for j in range(self.size))
 
 
 def flatten(mat):
@@ -116,7 +108,7 @@ def flat_zero(field, size):
 
 def flat_mul(a, b):
     """Product of two flat matrices, on plain ints for every field kind."""
-    if a.field != b.field:
+    if a.field is not b.field:
         raise CarrierMismatch("flat matrices over different fields")
     if a.size != b.size:
         raise ValidationError("flat matrix sizes differ")
@@ -233,8 +225,7 @@ def certify_two_sided(a, b):
     that the flattening of A has full rank.  A*B != I or an infinite monoid
     is an input error, not a negative verdict.
     """
-    if a.monoid != b.monoid or a.field != b.field:
-        raise CarrierMismatch("matrices over different carriers")
+    _check_carriers(a, b)
     if a.d != b.d:
         raise ValidationError("matrix dimensions differ")
     if not a.monoid.is_finite():

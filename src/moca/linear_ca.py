@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .algebra import alg_from_terms, mat_from_entries
-from .errors import CarrierMismatch, NotFinite, ValidationError
+from .algebra import _check_carriers, alg_from_terms, mat_from_entries
+from .errors import NotFinite, ValidationError
 from .fields import Scalar, random_scalar
 from .finiteness import flatten, gauss_rank
 from .monoids import canonical_sorted
@@ -108,8 +108,7 @@ def lca_apply(rule, pattern, window):
 
 def lca_compose(outer, inner):
     """The rule applying `inner` first; its matrix is inner.matrix * outer.matrix."""
-    if outer.monoid != inner.monoid or outer.field != inner.field:
-        raise CarrierMismatch("composing rules over different carriers")
+    _check_carriers(outer, inner)
     if outer.d != inner.d:
         raise ValidationError("rule dimensions differ")
     return LinearRule(inner.matrix * outer.matrix)

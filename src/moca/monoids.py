@@ -4,6 +4,11 @@ two-generator monoid with pq = 1, and free commutative monoids.
 Canonical forms are hashable keys (table index, exponent, exponent pair,
 exponent vector).  Sorting by key is the canonical element order used for
 deterministic iteration and witness selection throughout the package.
+
+Factories return one object per monoid, interned by key and printed label,
+and `Monoid.elem` one object per element, so carriers compare with `is`.  A
+relabelled table (a table:PATH file with the rows of enumerate_monoids(3)[k],
+say) is a new monoid, and mixing the two raises CarrierMismatch.
 """
 
 from __future__ import annotations
@@ -53,18 +58,10 @@ class Elem:
         if not isinstance(other, Elem):
             return NotImplemented
         m = self.monoid
-        if other.monoid is not m and other.monoid != m:
+        if other.monoid is not m:
             raise CarrierMismatch(
                 f"mixed monoids: {m.spec_string()} vs {other.monoid.spec_string()}")
         return m.elem(m.mul_key(self.key, other.key))
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, Elem):
-            return NotImplemented
-        return self.key == other.key and (
-            self.monoid is other.monoid or self.monoid == other.monoid)
 
     def __hash__(self):
         return self._hash
@@ -102,12 +99,6 @@ class Monoid:
         if self.order is None:
             raise NotFinite(f"{self.spec_string()} is infinite")
         return [self.elem(k) for k in self.element_keys()]
-
-    def mul(self, x, y):
-        return x * y
-
-    def __eq__(self, other):
-        return isinstance(other, Monoid) and self.key() == other.key()
 
     def __hash__(self):
         return self._khash
@@ -340,20 +331,28 @@ class FreeCommMonoid(Monoid):
         return self.elem(tuple(exps))
 
 
+_MONOIDS = {}
+
+
+def _intern(monoid):
+    # the label is printed, so it is part of the carrier's identity
+    return _MONOIDS.setdefault((monoid.key(), monoid.spec_string()), monoid)
+
+
 def bicyclic():
-    return BicyclicMonoid()
+    return _intern(BicyclicMonoid())
 
 
 def cyclic(n):
-    return CyclicMonoid(n)
+    return _intern(CyclicMonoid(n))
 
 
 def free_commutative(rank):
-    return FreeCommMonoid(rank)
+    return _intern(FreeCommMonoid(rank))
 
 
 def table_monoid(names, rows, label=None):
-    return TableMonoid(names, rows, label=label)
+    return _intern(TableMonoid(names, rows, label=label))
 
 
 def translate(x, m, side):
@@ -420,7 +419,7 @@ def enumerate_monoids(n):
             for j in range(m):
                 rows[i + 1][j + 1] = block[i * m + j]
         if _associativity_failure(rows) is None:
-            out.append(TableMonoid(names, rows, label=f"table{n}#{len(out)}"))
+            out.append(table_monoid(names, rows, label=f"table{n}#{len(out)}"))
     return out
 
 
@@ -467,7 +466,7 @@ def parse_table_text(text, label=None):
         raise ParseError("missing elements line")
     if len(rows) != len(names):
         raise ParseError(f"expected {len(names)} rows, got {len(rows)}")
-    return TableMonoid(names, rows, label=label)
+    return table_monoid(names, rows, label=label)
 
 
 def serialize_table(monoid):

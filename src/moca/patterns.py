@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import _check_carriers
 from .errors import CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError
 from .fields import random_scalar
 from .monoids import canonical_sorted, product_set
@@ -105,8 +106,8 @@ class Pattern:
     def __eq__(self, other):
         if not isinstance(other, Pattern):
             return NotImplemented
-        return (self.kind == other.kind and self.monoid == other.monoid
-                and self.alphabet == other.alphabet and self.field == other.field
+        return (self.kind == other.kind and self.monoid is other.monoid
+                and self.alphabet == other.alphabet and self.field is other.field
                 and self.d == other.d and self.values == other.values)
 
     __hash__ = None
@@ -135,7 +136,7 @@ def vector_pattern(monoid, field, d, mapping):
         if len(vec) != d:
             raise ValidationError(f"value at {site} has length {len(vec)}, expected {d}")
         for c in vec:
-            if c.field != field:
+            if c.field is not field:
                 raise CarrierMismatch("vector entry from a different field")
         vals[site] = vec
     return Pattern(monoid, "vector", vals, field=field, d=d)
@@ -165,17 +166,16 @@ def indicator_pattern(monoid, field, d, domain, component, site):
     return Pattern(monoid, "vector", vals, field=field, d=d)
 
 
-def _check_vector(c, field, what):
+def _check_vector(c, other, what):
     if c.kind != "vector":
         raise ValidationError(f"{what} needs a vector pattern")
-    if c.field != field:
-        raise CarrierMismatch(f"{what}: pattern field differs")
+    _check_carriers(c, other)
 
 
 def pattern_add(a, b):
     if a.kind != "vector" or b.kind != "vector":
         raise ValidationError("pattern_add needs vector patterns")
-    if a.values.keys() != b.values.keys() or a.d != b.d or a.field != b.field:
+    if a.values.keys() != b.values.keys() or a.d != b.d or a.field is not b.field:
         raise CarrierMismatch("pattern_add needs equal domains and carriers")
     vals = {m: tuple(x + y for x, y in zip(a.values[m], b.values[m]))
             for m in a.values}
@@ -203,11 +203,9 @@ def _missing_sites(c, window, support):
 
 def convolve_scalar(c, alpha, window):
     """(c * alpha) on `window` for a d=1 vector pattern c."""
-    _check_vector(c, alpha.field, "convolve_scalar")
+    _check_vector(c, alpha, "convolve_scalar")
     if c.d != 1:
         raise ValidationError("convolve_scalar needs d = 1; use convolve_matrix")
-    if c.monoid != alpha.monoid:
-        raise CarrierMismatch("pattern and algebra element over different monoids")
     missing = _missing_sites(c, window, alpha.support())
     if missing:
         raise DomainError(canonical_sorted(missing),
@@ -224,11 +222,9 @@ def convolve_scalar(c, alpha, window):
 
 def convolve_matrix(c, mat, window):
     """(c * A) on `window`; c has d components matching the matrix size."""
-    _check_vector(c, mat.field, "convolve_matrix")
+    _check_vector(c, mat, "convolve_matrix")
     if c.d != mat.d:
         raise CarrierMismatch(f"pattern has d={c.d}, matrix is {mat.d}x{mat.d}")
-    if c.monoid != mat.monoid:
-        raise CarrierMismatch("pattern and matrix over different monoids")
     supp = mat.support()
     missing = _missing_sites(c, window, supp)
     if missing:

@@ -97,7 +97,7 @@ def build_sentence(monoid, support, d):
     if len({s.key for s in support}) != len(support):
         raise ValidationError("support has repeated elements")
     for s in support:
-        if s.monoid != monoid:
+        if s.monoid is not monoid:
             raise ValidationError("support element from a different monoid")
     ns = len(support)
     names = [str(s) for s in support]
@@ -392,6 +392,13 @@ def parse_system_json(text):
         raise ParseError(f"missing or malformed field: {e}") from None
     if "d" not in meta or "support" not in meta:
         raise ParseError("meta must carry d and support")
+    d, support = meta["d"], meta["support"]
+    if type(d) is not int or d < 1:
+        raise ParseError(f"meta.d must be an integer >= 1, got {d!r}")
+    if not isinstance(support, list) or not all(isinstance(s, str) for s in support):
+        raise ParseError("meta.support must be a list of element names")
+    if len(var_names) != 2 * d * d * len(support):
+        raise ParseError("variable count does not match meta.d and meta.support")
     meta.setdefault("field", None)
     system = PolySystem(var_names, equations, negated, meta)
     for eq in equations + negated:

@@ -1,11 +1,13 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import moca
 from moca.cli import main
 from moca.fields import field_make
 from moca.monoids import bicyclic
@@ -152,6 +154,66 @@ def test_sentence_oversize_space_exits_two_before_building(monkeypatch):
                             "--support", support, "--dim", "12", "--field", "7"])
     assert rc == 2 and out == ""
     assert err == "error: assignment space of size 7^5760 exceeds budget 16777216\n"
+
+
+def test_field_above_the_primality_bound_exits_two():
+    # 2^61 - 1 is prime and fast; past the exact Miller-Rabin bound is an error
+    rc, out, _ = run_cli(["amul", "--monoid", "cyclic:3", "--field",
+                          str(2**61 - 1), "g", "g"])
+    assert rc == 0 and out == "g^2\n"
+    rc, out, err = run_cli(["amul", "--monoid", "cyclic:3", "--field",
+                            "3317044064679887385961983", "g", "g"])
+    assert rc == 2 and out == ""
+    assert "below 3317044064679887385961981" in err
+    # more digits than int() accepts is an input error too, not a crash
+    rc, out, err = run_cli(["amul", "--monoid", "cyclic:3", "--field",
+                            "9" * 5000, "g", "g"])
+    assert rc == 2 and out == "" and err.startswith("error: bad field spec")
+
+
+def test_solve_malformed_system_meta_exits_two(files):
+    rc, out, _ = run_cli(["sentence", "emit", "--monoid", "bicyclic",
+                          "--support", "p,q", "--dim", "1", "--field", "2",
+                          "--format", "json"])
+    assert rc == 0
+    for key, bad in (("d", "1"), ("d", True), ("d", 0), ("d", 2),
+                     ("support", "p,q"), ("support", ["p", 1]),
+                     ("support", ["p"])):
+        doc = json.loads(out)
+        doc["meta"][key] = bad
+        path = files("bad.json", json.dumps(doc))
+        for monoid in ([], ["--monoid", "bicyclic"]):
+            rc, sout, err = run_cli(["sentence", "solve", "--system", path,
+                                     "--field", "2"] + monoid)
+            assert rc == 2 and sout == "", (key, bad)
+            assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_output_does_not_depend_on_the_hash_seed(files, tmp_path):
+    t = files("T.txt", "2\n1 ; g\n0 ; 1\n")
+    ti = files("Ti.txt", "2\n1 ; -1*g\n0 ; 1\n")
+    table = files("t3.tbl", "elements: e a b\nrow: e a b\nrow: a b b\n"
+                            "row: b b b\n")
+    invocations = [
+        ["ca-scan-surjunctivity", "--monoid", f"table:{table}",
+         "--alphabet", "2", "--format", "json"],
+        ["lca-check-antihom", "--monoid", "cyclic:3", "--field", "Q",
+         "--dim", "2", "--count", "5", "--seed", "1"],
+        ["sentence", "solve", "--monoid", "bicyclic", "--support", "p,q",
+         "--dim", "2", "--field", "2", "--workers", "2"],
+        ["finiteness", "certify", "--monoid", "cyclic:2", "--field", "3",
+         "--matrixA", t, "--matrixB", ti, "--format", "json"],
+    ]
+    src = os.path.dirname(os.path.dirname(moca.__file__))
+    for argv in invocations:
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-m", "moca.cli"] + argv,
+                                  capture_output=True, env=env, cwd=tmp_path)
+            outs.append((proc.returncode, proc.stdout, proc.stderr))
+        assert outs[0] == outs[1], argv
+        assert outs[0][1] and not outs[0][2], argv
 
 
 def test_enumerate_counts():

@@ -5,13 +5,16 @@ schoolbook polynomial multiplication followed by long division by the
 modulus, all in plain ints.  Frozen expected values were computed with it.
 """
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from moca.errors import CarrierMismatch, NotFinite, ParseError, ValidationError
-from moca.fields import field_make, parse_field_spec, rationals, DEFAULT_MODULI
+from moca.algebra import alg_one
+from moca.fields import _MR_BOUND, _is_prime, field_make, parse_field_spec, rationals, DEFAULT_MODULI
+from moca.monoids import cyclic
 
 
 # oracle: multiply coefficient vectors, reduce mod (modulus, p), schoolbook
@@ -77,6 +80,51 @@ def test_nonprime_characteristic_rejected():
         field_make(4, 1)
     with pytest.raises(ValidationError):
         field_make(1, 1)
+
+
+def oracle_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20000) if _is_prime(n)] == \
+        [n for n in range(20000) if oracle_is_prime(n)]
+
+
+def test_pseudoprimes_rejected():
+    # strong pseudoprimes to base 2 (2047) and to bases 2, 3, 5, 7
+    # (3215031751), and the Carmichael number 561
+    for n in (2047, 3215031751, 561):
+        assert not _is_prime(n)
+        with pytest.raises(ValidationError):
+            field_make(n)
+
+
+def test_large_prime_field_is_fast():
+    t0 = time.perf_counter()
+    f = parse_field_spec(str(2**61 - 1))
+    assert time.perf_counter() - t0 < 0.5
+    assert (f.scalar_from_int(2**60) * f.scalar_from_int(2)).v == 1
+    assert not _is_prime((2**31 - 1) * (2**19 - 1))  # a product of Mersenne primes
+    with pytest.raises(ValidationError) as ei:
+        field_make(_MR_BOUND + 2)
+    assert str(_MR_BOUND) in str(ei.value)
+
+
+def test_fields_are_interned():
+    assert field_make(2, 2) is parse_field_spec("2^2")
+    assert field_make(2, 2, (1, 1, 1)) is field_make(2, 2)
+    assert field_make(3) is parse_field_spec(" 3 ")
+    assert parse_field_spec("Q") is rationals()
+    # t^2+t+2 is irreducible over GF(3) but is not the default t^2+1
+    other = field_make(3, 2, (2, 1, 1))
+    assert other is field_make(3, 2, (5, 4, 1))  # normalised mod 3
+    assert other is not field_make(3, 2)
+    assert other.one != field_make(3, 2).one
+    with pytest.raises(CarrierMismatch):
+        other.one + field_make(3, 2).one
+    with pytest.raises(CarrierMismatch):
+        alg_one(other, cyclic(2)) * alg_one(field_make(3, 2), cyclic(2))
 
 
 def test_reducible_modulus_rejected_with_factor():

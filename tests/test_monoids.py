@@ -10,7 +10,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from moca.algebra import alg_one
 from moca.errors import CarrierMismatch, NotFinite, ParseError, ValidationError
+from moca.fields import field_make
 from moca.monoids import (
     bicyclic,
     canonical_sorted,
@@ -247,6 +249,38 @@ def test_parse_monoid_spec(tmp_path):
         parse_monoid_spec("dihedral:3")
     with pytest.raises(ParseError):
         parse_monoid_spec("table:/nonexistent/file")
+
+
+def test_monoids_are_interned(tmp_path):
+    assert cyclic(3) is parse_monoid_spec("cyclic:3")
+    assert bicyclic() is parse_monoid_spec("bicyclic")
+    assert free_commutative(2) is parse_monoid_spec("freecomm:2")
+    for k in range(11):
+        assert enumerate_monoids(3)[k] is enumerate_monoids(3)[k]
+    path = tmp_path / "m.tbl"
+    path.write_text(serialize_table(enumerate_monoids(3)[4]))
+    spec = f"table:{path}"
+    m = parse_monoid_spec(spec)
+    assert m is parse_monoid_spec(spec)
+    assert m.parse_element("a") is parse_monoid_spec(spec).parse_element("a")
+
+
+def test_relabelled_table_is_another_monoid(tmp_path):
+    # the same rows under the label table:PATH are a different carrier
+    enumerated = enumerate_monoids(3)[4]
+    path = tmp_path / "m.tbl"
+    path.write_text(serialize_table(enumerated))
+    relabelled = parse_monoid_spec(f"table:{path}")
+    assert relabelled.rows == enumerated.rows
+    assert relabelled is not enumerated
+    assert relabelled.spec_string() == f"table:{path}"
+    assert enumerated.spec_string() == "table3#4"
+    assert relabelled.identity != enumerated.identity
+    with pytest.raises(CarrierMismatch):
+        relabelled.identity * enumerated.identity
+    f = field_make(2)
+    with pytest.raises(CarrierMismatch):
+        alg_one(f, relabelled) + alg_one(f, enumerated)
 
 
 def test_element_parse_round_trip_bicyclic():
