@@ -9,8 +9,9 @@ default; `--format json` wraps every command in the stable report schema
 be fed back to `sentence solve --system` and `sentence check --system`.
 
 Identical invocations produce byte-identical output: no timestamps, sorted
-JSON keys, seeded randomness only, and parallel sentence search returns the
-same least witness regardless of worker count.
+JSON keys, seeded randomness only, and the sentence search always returns
+the least witness (`sentence solve --workers` is accepted for compatibility,
+echoed in the JSON inputs, and has no effect).
 
 Exit codes: 0 success or clean verdict, 1 a sought witness was found (or a
 certificate failed), 2 usage, input, or budget errors.
@@ -598,7 +599,8 @@ def _build_parser():
     c.add_argument("--system", help="system JSON file instead of build flags")
     c.add_argument("--field")
     c.add_argument("--budget", type=int)
-    c.add_argument("--workers", type=int, default=1)
+    c.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     c.set_defaults(func=cmd_sentence_solve)
     c = ss.add_parser("check", parents=[fmt],
                       help="evaluate an assignment file against the sentence")

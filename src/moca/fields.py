@@ -106,6 +106,36 @@ def _pmod(a, b, p):
     return _pdivmod(a, b, p)[1]
 
 
+def _pmulmod(a, b, f, p):
+    prod = [0] * (len(a) + len(b))
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    return _pmod(prod, f, p)
+
+
+def _ppowmod(a, e, f, p):
+    out, base = (1,), _pmod(a, f, p)
+    while e:
+        if e & 1:
+            out = _pmulmod(out, base, f, p)
+        base = _pmulmod(base, base, f, p)
+        e >>= 1
+    return out
+
+
+def _pgcd(a, b, p):
+    """The monic gcd (or () when both are zero)."""
+    a, b = _ptrim(a), _ptrim(b)
+    while b:
+        a, b = b, _pmod(a, b, p)
+    if not a:
+        return a
+    linv = pow(a[-1], -1, p)
+    return tuple(c * linv % p for c in a)
+
+
 def _format_poly(coeffs):
     """Canonical text for a GF(p)[t] polynomial, descending degree."""
     parts = []
@@ -122,9 +152,24 @@ def _format_poly(coeffs):
 
 
 def _irreducibility_witness(modulus, p):
-    """Return a proper monic factor of `modulus` over GF(p), or None."""
+    """Return a proper monic factor of `modulus` over GF(p), or None.
+
+    The least degree of a factor is the least i with gcd(f, t^(p^i) - t)
+    != 1 (Rabin), and every monic divisor of that degree is irreducible,
+    hence divides the gcd; candidates are enumerated only there, so an
+    irreducible modulus costs O(k log p) products, not p^(k/2) divisions.
+    """
     k = len(modulus) - 1
+    frob = (0, 1)  # t^(p^deg) mod f
     for deg in range(1, k // 2 + 1):
+        frob = _ppowmod(frob, p, modulus, p)
+        diff = list(frob) + [0] * (2 - len(frob))
+        diff[1] = (diff[1] - 1) % p
+        g = _pgcd(modulus, diff, p)
+        if len(g) == 1:
+            continue
+        if len(g) == deg + 1:
+            return g
         # all monic polynomials of this degree
         for idx in range(p**deg):
             coeffs = []
@@ -133,7 +178,7 @@ def _irreducibility_witness(modulus, p):
                 coeffs.append(r % p)
                 r //= p
             cand = tuple(coeffs) + (1,)
-            if not _pmod(modulus, cand, p):
+            if not _pmod(g, cand, p):
                 return cand
     return None
 

@@ -1,4 +1,4 @@
-"""One-sided invertibility as a polynomial system, plus a brute-force solver.
+"""One-sided invertibility as a polynomial system, plus an exact solver.
 
 Given a monoid, an ordered support list S, and a dimension d, the system
 asks for d x d matrices A (variables x[i,j,s]) and B (variables y[i,j,s])
@@ -18,21 +18,25 @@ equations have an empty left side and can never equal 1; they are kept,
 flagged, so the inevitable UNSAT is visibly structural rather than an
 artifact of search.
 
-The solver enumerates all assignments in lexicographic order of the rank
-sequence (first variable most significant) and returns the least model.
-Chunked multi-process scans return the same model and the same statistics
-as the sequential scan.
+Every monomial pairs one x variable with one y variable, so once the X
+block is fixed both blocks are linear in Y.  The solver enumerates X in
+lexicographic order of the rank sequence (first variable most significant)
+and, for each X, eliminates the positive block over GF(q): X has a model
+iff the solution set is nonempty and some negated equation is not implied
+by it.  The first such X is completed by a greedy descent to the least Y,
+so the model and its index are the least in the lexicographic order of all
+assignments, as an exhaustive scan would find them; the tests keep that
+scan as the oracle.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .algebra import mat_from_entries, mat_identity, alg_from_terms
 from .errors import NotFinite, ParseError, ValidationError, _check_space
-from .fields import Scalar, decode_digits
 from .monoids import canonical_sorted
 
 __all__ = [
@@ -53,9 +57,6 @@ __all__ = [
 ]
 
 DEFAULT_SENTENCE_BUDGET = 2**24
-
-# below this assignment-space size a worker pool costs more than it saves
-_PARALLEL_MIN = 4096
 
 
 @dataclass(frozen=True)
@@ -161,43 +162,58 @@ class SolveResult:
     reason: str | None = None
 
 
-def _eval_blocks(digits, pos_eqs, neg_eqs, add_t, mul_t):
-    for mono, rhs in pos_eqs:
-        acc = 0
-        for xi, yi in mono:
-            acc = add_t[acc][mul_t[digits[xi]][digits[yi]]]
-        if acc != rhs:
-            return False
-    for mono, rhs in neg_eqs:
-        acc = 0
-        for xi, yi in mono:
-            acc = add_t[acc][mul_t[digits[xi]][digits[yi]]]
-        if acc != rhs:
-            return True
-    return False
-
-
-def _scan_range(args):
-    pos_eqs, neg_eqs, add_t, mul_t, q, nvars, start, end = args
-    digits = decode_digits(start, q, nvars)
-    for i in range(start, end):
-        if _eval_blocks(digits, pos_eqs, neg_eqs, add_t, mul_t):
-            return i
-        for pos in range(nvars - 1, -1, -1):
-            digits[pos] += 1
-            if digits[pos] < q:
-                break
-            digits[pos] = 0
+def _reduce(row, basis, add, mul, neg):
+    """Reduce an augmented row in place by the echelon basis; return its
+    leading column (len(basis) for a bare nonzero right side), or None."""
+    for c, b in enumerate(basis):
+        f = row[c]
+        if f and b is not None:
+            m = mul[neg[f]]
+            row[c:] = [add[v][m[w]] for v, w in zip(row[c:], b[c:])]
+    for c, v in enumerate(row):
+        if v:
+            return c
     return None
+
+
+def _has_model(xs, ys, pos, neg_eqs, ops, ny):
+    """With X fixed to `xs` and the leading Y coordinates to `ys`: is some
+    solution of the positive block a non-solution of a negated equation?"""
+    add, mul, neg, inv = ops
+
+    def rows(eqs):
+        for mono, rhs in eqs:
+            row = [0] * ny + [rhs]
+            for xi, c in mono:
+                a = xs[xi]
+                if a:
+                    row[c] = add[row[c]][a]
+            yield row
+
+    units = ([0] * c + [1] + [0] * (ny - 1 - c) + [v] for c, v in enumerate(ys))
+    basis = [None] * ny  # basis[c]: a row with its leading 1 in column c
+    for row in itertools.chain(rows(pos), units):
+        lead = _reduce(row, basis, add, mul, neg)
+        if lead == ny:
+            return False  # 0 = nonzero: no solution at all
+        if lead is not None:
+            m = mul[inv[row[lead]]]
+            basis[lead] = [m[v] for v in row]
+    # every solution satisfies a negated row iff the row reduces to zero
+    return any(_reduce(row, basis, add, mul, neg) is not None
+               for row in rows(neg_eqs))
 
 
 def find_model(system, field, context=None, budget=DEFAULT_SENTENCE_BUDGET,
                workers=1):
-    """Exhaustive search for the least model of the system over a finite field.
+    """The least model of the system over a finite field, in rank-lex order.
 
-    `context`, when given, is a pair (monoid, support elements) matching the
-    system; the witness is then decoded into matrices and re-verified by
-    matrix arithmetic before being returned.
+    Enumerates the X block and solves for Y by elimination (see the module
+    docstring); `budget` caps the full assignment space q^nvars all the
+    same.  `workers` is accepted for compatibility and has no effect.
+    Every model is re-checked by `check_model`; `context`, when given, is a
+    pair (monoid, support elements) matching the system, and the witness is
+    then also decoded into matrices and re-verified by matrix arithmetic.
     """
     if not field.is_finite():
         raise NotFinite("model search needs a finite field")
@@ -207,27 +223,36 @@ def find_model(system, field, context=None, budget=DEFAULT_SENTENCE_BUDGET,
     if any(eq.impossible for eq in system.equations):
         return SolveResult(False, None, None, None, None, space,
                            reason="identity is not a product of two support elements")
-    add_t, mul_t = field.rank_tables()
-    pos_eqs = tuple((eq.monomials, eq.rhs) for eq in system.equations)
-    neg_eqs = tuple((eq.monomials, eq.rhs) for eq in system.negated)
+    add, mul = field.rank_tables()
+    ops = (add, mul, [row.index(0) for row in add],
+           [0] + [mul[a].index(1) for a in range(1, q)])
+    nx = ny = nvars // 2
 
-    hit = None
-    if workers <= 1 or space < _PARALLEL_MIN:
-        hit = _scan_range((pos_eqs, neg_eqs, add_t, mul_t, q, nvars, 0, space))
+    def linear(eqs):
+        return tuple((tuple((xi, yi - nx) for xi, yi in eq.monomials), eq.rhs)
+                     for eq in eqs)
+
+    pos, neg_eqs = linear(system.equations), linear(system.negated)
+    for xs in itertools.product(range(q), repeat=nx):
+        if _has_model(xs, (), pos, neg_eqs, ops, ny):
+            break
     else:
-        workers = max(1, min(int(workers), 16))
-        bounds = [space * k // workers for k in range(workers + 1)]
-        jobs = [(pos_eqs, neg_eqs, add_t, mul_t, q, nvars, bounds[k], bounds[k + 1])
-                for k in range(workers) if bounds[k] < bounds[k + 1]]
-        with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            for result in pool.map(_scan_range, jobs):
-                if result is not None:
-                    hit = result
-                    break
-
-    if hit is None:
         return SolveResult(False, None, None, None, None, space)
-    assignment = tuple(decode_digits(hit, q, nvars))
+    # greedy descent: each Y coordinate takes the least value keeping a model
+    ys = []
+    for _ in range(ny):
+        ys.append(next(v for v in range(q)
+                       if _has_model(xs, ys + [v], pos, neg_eqs, ops, ny)))
+    assignment = xs + tuple(ys)
+    index = 0
+    for r in assignment:
+        index = index * q + r
+
+    rep = check_model(system, field, dict(zip(
+        system.var_names, (field.unrank(r) for r in assignment))))
+    if not rep.satisfied:
+        raise ValidationError("witness failed scalar re-verification",
+                              witness=assignment)
     mat_a = mat_b = None
     if context is not None:
         monoid, support = context
@@ -236,7 +261,7 @@ def find_model(system, field, context=None, budget=DEFAULT_SENTENCE_BUDGET,
         if mat_a * mat_b != ident or mat_b * mat_a == ident:
             raise ValidationError("witness failed matrix re-verification",
                                   witness=(mat_a, mat_b))
-    return SolveResult(True, hit, assignment, mat_a, mat_b, space)
+    return SolveResult(True, index, assignment, mat_a, mat_b, space)
 
 
 def decode_witness(system, field, assignment, monoid, support):
@@ -273,7 +298,7 @@ def check_model(system, field, assignment):
     """Evaluate both blocks with plain scalar arithmetic.
 
     `assignment` maps variable names to scalars; shares no code with the
-    rank-table scanner.
+    solver.
     """
     missing = [n for n in system.var_names if n not in assignment]
     if missing:
@@ -401,8 +426,13 @@ def parse_system_json(text):
         raise ParseError("variable count does not match meta.d and meta.support")
     meta.setdefault("field", None)
     system = PolySystem(var_names, equations, negated, meta)
+    half = system.nvars // 2
     for eq in equations + negated:
         for xi, yi in eq.monomials:
             if not (0 <= xi < system.nvars and 0 <= yi < system.nvars):
                 raise ParseError("monomial variable index out of range")
+            if not xi < half <= yi:
+                raise ParseError(
+                    f"monomial [1, {xi}, {yi}] must pair an x variable "
+                    f"(index < {half}) with a y variable (index >= {half})")
     return system

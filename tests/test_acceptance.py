@@ -345,7 +345,7 @@ def test_criterion_10_cli_determinism(tmp_path):
             first = run_cli(argv + fmt)
             second = run_cli(argv + fmt)
             assert first == second, argv
-    # the parallel SAT search really did report a witness, identically
+    # the SAT search under --workers 4 really did report a witness
     rc, out, _ = run_cli(["sentence", "solve", "--monoid", "bicyclic",
                           "--support", "p,q", "--dim", "2", "--field", "2",
                           "--workers", "4"])

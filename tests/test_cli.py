@@ -189,6 +189,26 @@ def test_solve_malformed_system_meta_exits_two(files):
             assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_non_bilinear_system_exits_two(files):
+    # a y*y monomial: the solver needs every monomial to pair x with y
+    rc, out, _ = run_cli(["sentence", "emit", "--monoid", "bicyclic",
+                          "--support", "p,q", "--dim", "1", "--field", "2",
+                          "--format", "json"])
+    assert rc == 0
+    doc = json.loads(out)
+    doc["equations"][0]["monomials"][0] = [1, 2, 3]
+    path = files("yy.json", json.dumps(doc))
+    assign = files("w.txt", "x[0,0,p^1] := 1\nx[0,0,q^1] := 0\n"
+                            "y[0,0,p^1] := 0\ny[0,0,q^1] := 1\n")
+    for argv in (["sentence", "solve", "--system", path],
+                 ["sentence", "solve", "--system", path, "--monoid", "bicyclic"],
+                 ["sentence", "check", "--system", path, "--assign", assign]):
+        rc, sout, err = run_cli(argv)
+        assert rc == 2 and sout == "", argv
+        assert err.startswith("error: ") and "must pair an x variable" in err
+        assert "Traceback" not in err
+
+
 def test_output_does_not_depend_on_the_hash_seed(files, tmp_path):
     t = files("T.txt", "2\n1 ; g\n0 ; 1\n")
     ti = files("Ti.txt", "2\n1 ; -1*g\n0 ; 1\n")
@@ -276,6 +296,11 @@ def test_parallel_solve_deterministic():
     assert seq == par1 == par2
     assert seq[0] == 1
     assert "witness index: 10260" in seq[1]
+    # in JSON only the echoed worker count differs
+    docs = [json.loads(run_cli(base + ["--workers", w, "--format", "json"])[1])
+            for w in ("1", "4")]
+    assert [doc["inputs"].pop("workers") for doc in docs] == [1, 4]
+    assert docs[0] == docs[1]
 
 
 def test_subprocess_entry_point():

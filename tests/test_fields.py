@@ -5,6 +5,7 @@ schoolbook polynomial multiplication followed by long division by the
 modulus, all in plain ints.  Frozen expected values were computed with it.
 """
 
+import itertools
 import time
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from moca.errors import CarrierMismatch, NotFinite, ParseError, ValidationError
 from moca.algebra import alg_one
-from moca.fields import _MR_BOUND, _is_prime, field_make, parse_field_spec, rationals, DEFAULT_MODULI
+from moca.fields import _MR_BOUND, _irreducibility_witness, _is_prime, _pmod, field_make, parse_field_spec, rationals, DEFAULT_MODULI
 from moca.monoids import cyclic
 
 
@@ -132,6 +133,44 @@ def test_reducible_modulus_rejected_with_factor():
     with pytest.raises(ValidationError) as ei:
         field_make(2, 2, modulus=(1, 0, 1))
     assert ei.value.witness == (1, 1)  # t+1
+
+
+def oracle_irreducibility_witness(modulus, p):
+    """The least monic factor of least degree, by trial division."""
+    k = len(modulus) - 1
+    for deg in range(1, k // 2 + 1):
+        for idx in range(p**deg):
+            coeffs = []
+            r = idx
+            for _ in range(deg):
+                coeffs.append(r % p)
+                r //= p
+            cand = tuple(coeffs) + (1,)
+            if not _pmod(modulus, cand, p):
+                return cand
+    return None
+
+
+def test_irreducibility_witness_matches_trial_division():
+    count = 0
+    for p, degrees in ((2, range(2, 7)), (3, range(2, 5)), (5, range(2, 4)),
+                       (7, (2,))):
+        for k in degrees:
+            for low in itertools.product(range(p), repeat=k):
+                modulus = low + (1,)
+                assert (_irreducibility_witness(modulus, p)
+                        == oracle_irreducibility_witness(modulus, p)), (p, modulus)
+                count += 1
+    assert count == 440
+
+
+def test_large_characteristic_modulus_is_fast():
+    # t^2+1 is irreducible for p = 3 mod 4; trial division would need p steps
+    t0 = time.perf_counter()
+    f = field_make(1000003, 2, (1, 0, 1))
+    assert time.perf_counter() - t0 < 0.5
+    t = f.parse_literal("t")
+    assert t * t == -f.one
 
 
 def test_default_moduli_irreducible_by_oracle():

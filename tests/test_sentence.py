@@ -1,15 +1,18 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moca.algebra import alg_from_terms, mat_from_entries, mat_identity
+import moca.sentence as sentence
 from moca.errors import BudgetExceeded, NotFinite, ParseError, ValidationError, _check_space
-from moca.fields import field_make, rationals
-from moca.monoids import bicyclic, cyclic, enumerate_monoids, table_monoid
+from moca.fields import decode_digits, field_make, rationals
+from moca.monoids import bicyclic, cyclic, enumerate_monoids, free_commutative, table_monoid
+from moca.randomized import element_pool
 from moca.sentence import (
     Equation,
     build_sentence,
@@ -20,12 +23,56 @@ from moca.sentence import (
     find_model,
     parse_system_json,
     with_field,
-    _eval_blocks,
 )
 
 GF2 = field_make(2)
 GF3 = field_make(3)
 GF4 = field_make(2, 2)
+
+
+# the brute-force oracle: every assignment in rank-lex order, rank tables
+
+
+def _eval_blocks(digits, pos_eqs, neg_eqs, add_t, mul_t):
+    for mono, rhs in pos_eqs:
+        acc = 0
+        for xi, yi in mono:
+            acc = add_t[acc][mul_t[digits[xi]][digits[yi]]]
+        if acc != rhs:
+            return False
+    for mono, rhs in neg_eqs:
+        acc = 0
+        for xi, yi in mono:
+            acc = add_t[acc][mul_t[digits[xi]][digits[yi]]]
+        if acc != rhs:
+            return True
+    return False
+
+
+def _scan_range(args):
+    pos_eqs, neg_eqs, add_t, mul_t, q, nvars, start, end = args
+    digits = decode_digits(start, q, nvars)
+    for i in range(start, end):
+        if _eval_blocks(digits, pos_eqs, neg_eqs, add_t, mul_t):
+            return i
+        for pos in range(nvars - 1, -1, -1):
+            digits[pos] += 1
+            if digits[pos] < q:
+                break
+            digits[pos] = 0
+    return None
+
+
+def oracle_find_model(system, field):
+    """(least model index, its assignment), or None."""
+    add_t, mul_t = field.rank_tables()
+    pos = tuple((eq.monomials, eq.rhs) for eq in system.equations)
+    neg = tuple((eq.monomials, eq.rhs) for eq in system.negated)
+    q, nvars = field.order, system.nvars
+    hit = _scan_range((pos, neg, add_t, mul_t, q, nvars, 0, q ** nvars))
+    if hit is None:
+        return None
+    return hit, tuple(decode_digits(hit, q, nvars))
 
 
 def bicyclic_system(d=1):
@@ -298,15 +345,16 @@ def test_structural_equality_across_monoids():
 
 
 def test_workers_match_sequential():
+    # `workers` is accepted and has no effect
     b = bicyclic()
     support = (b.p, b.q)
     spec, system = build_sentence(b, support, 2)
     seq = find_model(system, GF2, context=(b, support), workers=1)
-    par = find_model(system, GF2, context=(b, support), workers=3)
-    assert seq.sat and par.sat
-    assert seq.witness_index == par.witness_index
-    assert seq.assignment == par.assignment
-    assert seq.space == par.space == 2 ** 16
+    for workers in (3, 4):
+        par = find_model(system, GF2, context=(b, support), workers=workers)
+        assert par == seq
+    assert seq.sat and seq.witness_index == 10260
+    assert seq.space == 2 ** 16
     ident = mat_identity(GF2, b, 2)
     assert seq.matrix_a * seq.matrix_b == ident
     assert seq.matrix_b * seq.matrix_a != ident
@@ -368,3 +416,104 @@ def test_sat_iff_matrix_pair_exists(which, p):
         assert oracle is not None and oracle[0] == res.witness_index
     else:
         assert oracle is None
+
+
+def bilinear_instances():
+    """Seeded (monoid, support, d, field) with q^nvars <= 2^16."""
+    rng = random.Random(7)
+    b = bicyclic()
+    bic = [b.identity, b.p, b.q, b.p * b.p, b.q * b.q, b.q * b.p]
+    fc = free_commutative(2)
+    # (monoid, elements every support has, the rest to draw from, draws)
+    monoids = ([(b, bic[1:3], bic[:1] + bic[3:], 6), (b, [], bic[:1] + bic[3:], 6)]
+               + [(m, [], m.elements(), 2) for m in
+                  enumerate_monoids(2) + enumerate_monoids(3)
+                  + [cyclic(2), cyclic(3), cyclic(4)]]
+               + [(fc, [], element_pool(fc), 2)])
+    fields = (GF2, GF3, GF4, field_make(5), field_make(2, 3), field_make(3, 2))
+    for field in fields:
+        for monoid, must, pool, draws in monoids:
+            for _ in range(draws):
+                d = rng.choice((1, 2))
+                if field.order ** (2 * d * d * max(1, len(must))) > 2 ** 16:
+                    d = 1
+                fit = max(n for n in range(1, 9)
+                          if field.order ** (2 * d * d * n) <= 2 ** 16)
+                size = rng.randint(max(1, len(must)), min(fit, len(must) + len(pool)))
+                support = must + rng.sample(pool, size - len(must))
+                rng.shuffle(support)
+                yield monoid, tuple(support), d, field
+
+
+def test_bilinear_matches_brute_force_oracle():
+    count = sat = 0
+    for monoid, support, d, field in bilinear_instances():
+        _, system = build_sentence(monoid, support, d)
+        res = find_model(system, field)
+        want = oracle_find_model(system, field)
+        where = (monoid.spec_string(), [str(s) for s in support], d, field.name())
+        if want is None:
+            assert not res.sat, where
+        else:
+            assert res.sat, where
+            assert (res.witness_index, res.assignment) == want, where
+            sat += 1
+        count += 1
+    assert count >= 150 and sat >= 40
+
+
+# Three-element bicyclic supports with a model, as in the sentence-sat
+# benchmark workload; the indices are those of the exhaustive scan.
+SAT_SUPPORTS3 = ("1,p,q", "q,p,1", "q,p,p^2", "1,q,p", "q,1,p", "q,p,q^2",
+                 "p^2,q,p", "q^2,q,p")
+SAT_INDICES = {
+    "2": (17, 20, 20, 10, 12, 20, 10, 10),
+    "3": (82, 90, 90, 30, 36, 90, 30, 30),
+    "2^3": (4097, 4160, 4160, 520, 576, 4160, 520, 520),
+}
+SAT_INDICES_D2 = {"p,q": 10260, "q,p": 5160, "1,p,q": 589896,
+                  "q,p,p^2": 590112, "q,p,1": 327944}
+
+
+def test_sat_catalogue_pinned():
+    b = bicyclic()
+    cases = [(s, 1, spec, idx) for spec, row in SAT_INDICES.items()
+             for s, idx in zip(SAT_SUPPORTS3, row)]
+    cases += [(s, 2, "2", idx) for s, idx in SAT_INDICES_D2.items()]
+    for text, d, spec, idx in cases:
+        support = tuple(b.parse_element(s) for s in text.split(","))
+        field = field_make(*map(int, spec.split("^")))
+        _, system = build_sentence(b, support, d)
+        res = find_model(system, field, context=(b, support))
+        assert res.sat and res.witness_index == idx, (text, d, spec)
+        assert res.assignment == tuple(decode_digits(idx, field.order, system.nvars))
+
+
+def test_cyclic3_full_support_d2_unsat_is_fast():
+    # 2^24 assignments, 2^12 X blocks
+    m = cyclic(3)
+    _, system = build_sentence(m, m.elements(), 2)
+    t0 = time.perf_counter()
+    res = find_model(system, GF2, budget=2 ** 24)
+    assert time.perf_counter() - t0 < 10
+    assert not res.sat and res.reason is None and res.space == 2 ** 24
+
+
+def test_every_model_is_rechecked_by_scalar_arithmetic(monkeypatch):
+    # a solver that claims a model everywhere yields the zero assignment,
+    # which violates A*B = I; the re-check must catch it without context
+    b, support, spec, system = bicyclic_system()
+    monkeypatch.setattr(sentence, "_has_model", lambda *args: True)
+    with pytest.raises(ValidationError, match="scalar re-verification"):
+        find_model(system, GF2)
+
+
+def test_parse_system_json_rejects_non_bilinear_monomials():
+    b, support, spec, system = bicyclic_system()
+    # variables 0, 1 are x, 2, 3 are y
+    for block in ("equations", "negated_block"):
+        for xi, yi in ((2, 3), (0, 1), (3, 0)):
+            obj = json.loads(emit_json(system))
+            obj[block][0]["monomials"][0] = [1, xi, yi]
+            with pytest.raises(ParseError, match="must pair an x variable"):
+                parse_system_json(json.dumps(obj))
