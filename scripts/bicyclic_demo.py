@@ -1,7 +1,7 @@
 """Walk through the one-sided unit pair on the bicyclic monoid.
 
 Multiplies the generators both ways, certifies the 1x1 pair over several
-fields, and recovers the same pair by exhaustive sentence search.
+fields, and recovers the same pair as the least model of the sentence.
 """
 
 from moca.fields import field_make, rationals

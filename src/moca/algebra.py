@@ -20,7 +20,7 @@ never contain `*`, which keeps the grammar unambiguous.
 
 from __future__ import annotations
 
-from .errors import CarrierMismatch, ParseError, ValidationError
+from .errors import CarrierMismatch, ParseError, ValidationError, _content_lines
 from .fields import Scalar
 from .monoids import canonical_sorted
 
@@ -365,19 +365,21 @@ def mat_from_entries(field, monoid, entries):
 
 def parse_matrix_text(text, monoid, field):
     """Matrix file format: first line d, then d lines of d literals split on ';'."""
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.strip().startswith("#")]
+    lines = list(_content_lines(text))
     if not lines:
         raise ParseError("empty matrix file")
+    first_no, first = lines[0]
     try:
-        d = int(lines[0].strip())
+        d = int(first)
     except ValueError:
-        raise ParseError(f"first line must be the dimension, got {lines[0]!r}", line=1) from None
+        raise ParseError(f"first line must be the dimension, got {first!r}",
+                         line=first_no) from None
     if d < 1:
-        raise ParseError(f"dimension must be >= 1, got {d}", line=1)
+        raise ParseError(f"dimension must be >= 1, got {d}", line=first_no)
     if len(lines) != d + 1:
         raise ParseError(f"expected {d} rows after the dimension, got {len(lines) - 1}")
     rows = []
-    for r, ln in enumerate(lines[1:], start=2):
+    for r, ln in lines[1:]:
         cells = ln.split(";")
         if len(cells) != d:
             raise ParseError(f"row has {len(cells)} entries, expected {d}", line=r)

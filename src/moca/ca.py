@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError, _check_space
+from .errors import (CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError,
+                     _check_space, _content_lines)
 from .fields import decode_digits
 from .monoids import canonical_sorted, product_set
 from .patterns import Pattern, SymbolAlphabet, required_domain
@@ -172,6 +173,16 @@ def _finite_elements(monoid):
     return monoid.elements()
 
 
+def _config_elements(monoid, alphabet, config_budget):
+    """(elements, configuration count) of a finite monoid; the budget is
+    checked from the order, before the element list is built."""
+    if not monoid.is_finite():
+        raise NotFinite(f"{monoid.spec_string()} is infinite")
+    total = _check_space(alphabet.size, monoid.order, config_budget,
+                         "configuration space")
+    return monoid.elements(), total
+
+
 def encode_config(pattern):
     """Index of a fully defined symbol pattern over a finite monoid."""
     els = _finite_elements(pattern.monoid)
@@ -190,10 +201,9 @@ def decode_config(monoid, alphabet, idx):
 
 def _local_index_grid(monoid, alphabet, memory, config_budget):
     """loc[cfg][t] = rule-table index seen at site t of configuration cfg."""
-    els = _finite_elements(monoid)
+    els, total = _config_elements(monoid, alphabet, config_budget)
     a = alphabet.size
     n = len(els)
-    total = _check_space(a, n, config_budget, "configuration space")
     pos = {e: i for i, e in enumerate(els)}
     site_rows = [[pos[s * m] for s in memory] for m in els]
     grid = []
@@ -282,7 +292,7 @@ def left_inverse(rule, config_budget=DEFAULT_CONFIG_BUDGET):
     monoid and an injective rule; the collision pair is the error witness
     otherwise.
     """
-    els = _finite_elements(rule.monoid)
+    els, total = _config_elements(rule.monoid, rule.alphabet, config_budget)
     fmap = full_map(rule, config_budget)
     inj = _injectivity_of_map(rule, fmap)
     if not inj.ok:
@@ -292,7 +302,7 @@ def left_inverse(rule, config_budget=DEFAULT_CONFIG_BUDGET):
     top = a ** (n - 1)  # stride of the identity site, listed first
     inv = {out: src for src, out in enumerate(fmap)}
     table = []
-    for cfg in range(a ** n):
+    for cfg in range(total):
         pre = inv.get(cfg)
         table.append(0 if pre is None else (pre // top) % a)
     return CARule(rule.monoid, rule.alphabet, tuple(els), tuple(table))
@@ -324,9 +334,8 @@ def _rule_maps(monoid, alphabet, memory, rule_budget, config_budget):
 
     Both budgets are checked before any grid or table exists, configuration
     space first so that the rule count a^(a^|S|) is cheap to compute."""
-    els = _finite_elements(monoid)
+    els, _ = _config_elements(monoid, alphabet, config_budget)
     memory = tuple(els) if memory is None else tuple(memory)
-    _check_space(alphabet.size, len(els), config_budget, "configuration space")
     tables = all_rule_tables(alphabet.size, len(memory), rule_budget)
     return memory, _global_maps(monoid, alphabet, memory, tables, config_budget)
 
@@ -406,10 +415,7 @@ def parse_rule_text(text, monoid):
     alphabet = None
     memory = None
     table = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         if line.startswith("alphabet:"):
             try:
                 alphabet = SymbolAlphabet(int(line[len("alphabet:"):].strip()))

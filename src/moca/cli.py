@@ -34,7 +34,7 @@ from .ca import (
     serialize_rule,
     surjunctivity_scan,
 )
-from .errors import MocaError, ParseError, ValidationError, _check_space
+from .errors import MocaError, ParseError, ValidationError, _check_space, _content_lines
 from .fields import parse_field_spec
 from .finiteness import bicyclic_witness, certify_two_sided
 from .linear_ca import lca_apply, matrix_from_action, rule_from_matrix
@@ -340,6 +340,7 @@ def _load_system(args, need_field=True, budget=None):
     With a budget, the assignment space of a sentence built from flags is
     checked before the system is: it has 2*d*d*|S| variables.
     """
+    field = None
     if args.system:
         system = parse_system_json(_read(args.system))
         context = None
@@ -361,11 +362,10 @@ def _load_system(args, need_field=True, budget=None):
                              budget, "assignment space")
         _, system = build_sentence(monoid, support, args.dim)
         context = (monoid, support)
-    field = None
-    if getattr(args, "field", None):
-        field = parse_field_spec(args.field)
-    elif system.meta.get("field"):
-        field = parse_field_spec(system.meta["field"])
+    if field is None:
+        spec = getattr(args, "field", None) or system.meta.get("field")
+        if spec:
+            field = parse_field_spec(spec)
     if field is None and need_field:
         raise ParseError("no field given (use --field or a system with one)")
     return system, field, context
@@ -395,7 +395,7 @@ def cmd_sentence_solve(args):
     if args.system:
         inputs["system"] = args.system
     if args.monoid:
-        inputs["monoid"] = parse_monoid_spec(args.monoid).spec_string()
+        inputs["monoid"] = context[0].spec_string()
     if not res.sat:
         lines = ["verdict: UNSAT", f"space: {res.space}"]
         stats = {"space": res.space}
@@ -425,10 +425,7 @@ def cmd_sentence_solve(args):
 
 def _parse_assignment(text, field):
     out = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         if ":=" not in line:
             raise ParseError(f"expected 'name := value', got {line!r}",
                              line=lineno)
@@ -592,7 +589,7 @@ def _build_parser():
     c.add_argument("--field", help="stamp a field into the document")
     c.set_defaults(func=cmd_sentence_emit)
     c = ss.add_parser("solve", parents=[fmt],
-                      help="exhaustive model search over a finite field")
+                      help="find the least model over a finite field")
     c.add_argument("--monoid")
     c.add_argument("--support")
     c.add_argument("--dim", type=int)

@@ -71,6 +71,15 @@ class BudgetExceeded(MocaError):
         return self._required
 
 
+def _content_lines(text):
+    """(line number, stripped line) for each line that is neither blank nor
+    a `#` comment, numbered as in the file so a ParseError can point at it."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def _check_space(base, exponent, budget, what):
     """base**exponent, or BudgetExceeded naming the space as base^exponent.
 

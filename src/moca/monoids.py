@@ -17,7 +17,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .errors import CarrierMismatch, NotFinite, ParseError, ValidationError
+from .errors import CarrierMismatch, NotFinite, ParseError, ValidationError, _content_lines
 
 __all__ = [
     "Elem",
@@ -436,10 +436,7 @@ def parse_table_text(text, label=None):
     """
     names = None
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         if line.startswith("elements:"):
             if names is not None:
                 raise ParseError("duplicate elements line", line=lineno)

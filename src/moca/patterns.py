@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import _check_carriers
-from .errors import CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError
+from .algebra import AlgMatrix, _check_carriers
+from .errors import CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError, _content_lines
 from .fields import random_scalar
 from .monoids import canonical_sorted, product_set
 
@@ -202,22 +202,12 @@ def _missing_sites(c, window, support):
 
 
 def convolve_scalar(c, alpha, window):
-    """(c * alpha) on `window` for a d=1 vector pattern c."""
+    """(c * alpha) on `window` for a d=1 vector pattern c: convolve_matrix
+    with the 1x1 matrix [alpha]."""
     _check_vector(c, alpha, "convolve_scalar")
     if c.d != 1:
         raise ValidationError("convolve_scalar needs d = 1; use convolve_matrix")
-    missing = _missing_sites(c, window, alpha.support())
-    if missing:
-        raise DomainError(canonical_sorted(missing),
-                          "convolution needs undefined sites")
-    field = alpha.field
-    vals = {}
-    for m in window:
-        acc = field.zero
-        for s, coeff in alpha.terms.items():
-            acc = acc + c.values[s * m][0] * coeff
-        vals[m] = (acc,)
-    return Pattern(c.monoid, "vector", vals, field=field, d=1)
+    return convolve_matrix(c, AlgMatrix(alpha.field, alpha.monoid, [[alpha]]), window)
 
 
 def convolve_matrix(c, mat, window):
@@ -254,10 +244,7 @@ def convolve_matrix(c, mat, window):
 def parse_symbol_pattern(text, monoid, alphabet):
     """Pattern file lines: `element := value`."""
     vals = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         if ":=" not in line:
             raise ParseError(f"expected 'element := value', got {line!r}", line=lineno)
         left, right = line.split(":=", 1)
@@ -279,10 +266,7 @@ def parse_symbol_pattern(text, monoid, alphabet):
 def parse_vector_pattern(text, monoid, field):
     vals = {}
     d = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         if ":=" not in line:
             raise ParseError(f"expected 'element := value', got {line!r}", line=lineno)
         left, right = line.split(":=", 1)

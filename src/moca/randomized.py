@@ -195,7 +195,7 @@ def antihom_suite(monoid, field, d, count, seed):
 def action_law_suite(monoid, field, d, count, seed, window_size=2):
     """Windowed module laws: (c*A)*B = c*(A*B), c*I = c, (c+c')*A = c*A+c'*A.
 
-    The d=1 instances additionally exercise the scalar convolution path.
+    The d=1 instances also check the first law through convolve_scalar.
     """
     rng = random.Random(seed)
     pool = element_pool(monoid)

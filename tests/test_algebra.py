@@ -238,3 +238,21 @@ def test_matrix_file_errors():
     assert ei.value.line == 3
     with pytest.raises(ParseError):
         parse_matrix_text("1\nzzz\n", b, f2)
+
+
+def test_matrix_file_errors_name_file_lines():
+    # comment and blank lines count: the line number is the one in the file
+    c2 = cyclic(2)
+    f2 = field_make(2)
+    with pytest.raises(ParseError) as ei:
+        parse_matrix_text("# c\n\n2\n1 ; 0\n0 ; zz\n", c2, f2)
+    assert ei.value.line == 5
+    with pytest.raises(ParseError) as ei:
+        parse_matrix_text("# c\n\n2\n1 ; 0 ; 1\n0 ; 1\n", c2, f2)
+    assert str(ei.value) == "row has 3 entries, expected 2 (line 4)"
+    with pytest.raises(ParseError) as ei:
+        parse_matrix_text("# header\n\nx\n", c2, f2)
+    assert str(ei.value) == "first line must be the dimension, got 'x' (line 3)"
+    with pytest.raises(ParseError) as ei:
+        parse_matrix_text("# header\n0\n", c2, f2)
+    assert ei.value.line == 2

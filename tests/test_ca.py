@@ -385,6 +385,21 @@ def test_scan_budgets_fire_before_the_grid(monkeypatch):
         assert str(exc.value) == "rule space of size 2^8 exceeds budget 100"
 
 
+def test_config_budget_fires_before_the_element_list(monkeypatch):
+    big = cyclic(10 ** 8)
+    rule = identity_rule(big, A2)
+    def refuse(self):
+        raise AssertionError("element list built before the budget check")
+    monkeypatch.setattr("moca.monoids.Monoid.elements", refuse)
+    for call in (full_map, left_inverse, surjectivity):
+        with pytest.raises(BudgetExceeded) as exc:
+            call(rule)
+        assert str(exc.value) == ("configuration space of size 2^100000000 "
+                                  "exceeds budget 1048576")
+    with pytest.raises(NotFinite):
+        left_inverse(identity_rule(bicyclic(), A2))
+
+
 def test_all_rule_tables_order():
     tables = list(all_rule_tables(2, 1))
     assert tables == [(0, 0), (0, 1), (1, 0), (1, 1)]

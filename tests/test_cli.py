@@ -126,6 +126,14 @@ def test_psi_inv_recovers(files):
     assert out == "2\n1 + g ; 0\ng ; 1\n"
 
 
+def test_matrix_file_error_names_the_file_line(files):
+    m = files("M.txt", "# c\n\n2\n1 ; 0\n0 ; zz\n")
+    rc, out, err = run_cli(["mat-mul", "--monoid", "cyclic:2", "--field", "2",
+                            "--matrixA", m, "--matrixB", m])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and err.endswith(" (line 5)\n")
+
+
 def test_scan_clean_exit():
     rc, out, _ = run_cli(["ca-scan-surjunctivity", "--monoid", "cyclic:2",
                           "--alphabet", "2"])
@@ -141,6 +149,19 @@ def test_scan_oversize_rule_space_exits_two():
                                 f"cyclic:{n}", "--alphabet", "2"])
         assert rc == 2 and out == ""
         assert err == f"error: rule space of size {size} exceeds budget 65536\n"
+
+
+def test_scan_oversize_configuration_space_exits_two_before_listing(monkeypatch):
+    # the configuration budget is checked from the order, so a monoid of
+    # order 10^8 is refused without building its element list
+    def refuse(self):
+        raise AssertionError("element list built before the budget check")
+    monkeypatch.setattr("moca.monoids.Monoid.elements", refuse)
+    rc, out, err = run_cli(["ca-scan-surjunctivity", "--monoid",
+                            "cyclic:100000000", "--alphabet", "2"])
+    assert rc == 2 and out == ""
+    assert err == ("error: configuration space of size 2^100000000 "
+                   "exceeds budget 1048576\n")
 
 
 def test_sentence_oversize_space_exits_two_before_building(monkeypatch):
@@ -169,6 +190,32 @@ def test_field_above_the_primality_bound_exits_two():
     rc, out, err = run_cli(["amul", "--monoid", "cyclic:3", "--field",
                             "9" * 5000, "g", "g"])
     assert rc == 2 and out == "" and err.startswith("error: bad field spec")
+
+
+def test_sentence_solve_parses_monoid_and_field_once(monkeypatch, files):
+    import moca.cli as cli
+    _, doc, _ = run_cli(["sentence", "emit", "--monoid", "bicyclic",
+                         "--support", "p,q", "--dim", "1", "--format", "json"])
+    sys_path = files("sys.json", doc)
+    calls = []
+
+    def counted(name):
+        real = getattr(cli, name)
+        def parse(spec):
+            calls.append(name)
+            return real(spec)
+        return parse
+
+    for name in ("parse_monoid_spec", "parse_field_spec"):
+        monkeypatch.setattr(cli, name, counted(name))
+    for argv in (["--monoid", "bicyclic", "--support", "p,q", "--dim", "1"],
+                 ["--system", sys_path, "--monoid", "bicyclic"]):
+        calls.clear()
+        rc, out, _ = run_cli(["sentence", "solve", "--field", "2", "--format",
+                              "json"] + argv)
+        assert rc == 1
+        assert json.loads(out)["inputs"]["monoid"] == "bicyclic"
+        assert sorted(calls) == ["parse_field_spec", "parse_monoid_spec"]
 
 
 def test_solve_malformed_system_meta_exits_two(files):

@@ -11,7 +11,7 @@ from moca.algebra import (
     parse_alg_literal,
 )
 from moca.errors import NotFinite, ValidationError
-from moca.fields import field_make, rationals
+from moca.fields import Scalar, field_make, rationals
 from moca.linear_ca import (
     LinearRule,
     lca_apply,
@@ -22,8 +22,16 @@ from moca.linear_ca import (
     matrix_from_action,
     rule_from_matrix,
 )
-from moca.monoids import bicyclic, cyclic, enumerate_monoids, free_commutative, product_set
+from moca.monoids import (
+    bicyclic,
+    canonical_sorted,
+    cyclic,
+    enumerate_monoids,
+    free_commutative,
+    product_set,
+)
 from moca.patterns import required_domain, vector_pattern
+from moca.randomized import element_pool, random_matrix, random_vector_pattern
 
 GF2 = field_make(2)
 GF3 = field_make(3)
@@ -52,6 +60,47 @@ def rand_pattern(rng, monoid, field, d, sites):
     vals = {s: tuple(field.unrank(rng.randrange(field.order)) for _ in range(d))
             for s in sites}
     return vector_pattern(monoid, field, d, vals)
+
+
+def replay_oracle(rule, pattern, window):
+    """The local map at each site m of the window: with p the memory pattern
+    around m, output j is sum over i, s of p_i(s) * A[i][j]_s."""
+    field, d = rule.field, rule.d
+    out = {}
+    for m in window:
+        local = pattern.shift(m, candidates=rule.memory)
+        acc = [field.zero_v] * d
+        for s in rule.memory:
+            vec = local.values[s]
+            for i in range(d):
+                vi = vec[i].v
+                if vi == field.zero_v:
+                    continue
+                row = rule.matrix.entries[i]
+                for j in range(d):
+                    coeff = row[j].terms.get(s)
+                    if coeff is not None:
+                        acc[j] = field.add_v(acc[j], field.mul_v(vi, coeff.v))
+        out[m] = tuple(Scalar(field, v) for v in acc)
+    return out
+
+
+def test_lca_apply_matches_the_local_map_replay():
+    rng = random.Random(36)
+    table = random.Random(7).choice(enumerate_monoids(3))
+    for monoid in (bicyclic(), free_commutative(2), cyclic(3), table):
+        pool = element_pool(monoid)
+        for field in (GF2, GF3, GF4, QQ):
+            for d in (1, 2, 3):
+                for _ in range(4):
+                    rule = rule_from_matrix(random_matrix(rng, monoid, field, d, pool))
+                    window = pool if monoid.is_finite() else rng.sample(pool, 3)
+                    sites = set(required_domain(window, rule.memory)) | set(window)
+                    c = random_vector_pattern(rng, monoid, field, d,
+                                              canonical_sorted(sites))
+                    # a one-shot iterator: lca_apply must list the window first
+                    out = lca_apply(rule, c, iter(window))
+                    assert out.values == replay_oracle(rule, c, window)
 
 
 def test_identity_rule_fixes_patterns():

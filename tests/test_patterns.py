@@ -133,6 +133,18 @@ def test_convolve_matrix_identity_is_identity():
     assert out == c
 
 
+def scalar_convolution_oracle(c, alpha, window):
+    """(c * alpha)(m) = sum over s of c(s*m) * alpha_s, one site at a time."""
+    field = alpha.field
+    vals = {}
+    for m in window:
+        acc = field.zero
+        for s, coeff in alpha.terms.items():
+            acc = acc + c.values[s * m][0] * coeff
+        vals[m] = (acc,)
+    return vector_pattern(c.monoid, field, 1, vals)
+
+
 def test_convolve_matrix_agrees_with_scalar_at_d1():
     rng = random.Random(9)
     c3 = cyclic(3)
@@ -144,7 +156,9 @@ def test_convolve_matrix_agrees_with_scalar_at_d1():
             alpha_terms = "+".join(rng.choice(["1", "g", "g^2"]) for _ in range(2))
             alpha = parse_alg_literal(alpha_terms, c3, field)
             A = mat_from_entries(field, c3, [[alpha]])
-            assert convolve_scalar(c, alpha, els) == convolve_matrix(c, A, els)
+            want = scalar_convolution_oracle(c, alpha, els)
+            assert convolve_matrix(c, A, els) == want
+            assert convolve_scalar(c, alpha, els) == want
 
 
 def test_convolution_action_law_windowed():
