@@ -365,7 +365,8 @@ def direct_finiteness_scan(monoid, alphabet, memory=None,
                            config_budget=DEFAULT_CONFIG_BUDGET):
     """All ordered rule pairs over the memory set: does a one-sided identity
     force the two-sided one?  The witness, if any, is the least violating
-    pair in table order.
+    pair in table order.  The injective and surjective counts are both the
+    number of bijective rules, as in surjunctivity_scan.
 
     The configuration space is finite, so sigma(tau(c)) = c for all c makes
     tau injective, hence bijective, and then sigma = tau^-1 is bijective as
@@ -397,7 +398,8 @@ def direct_finiteness_scan(monoid, alphabet, memory=None,
         (_, sigma), (_, tau) = min(failures)
         witness = (CARule(monoid, alphabet, memory, sigma),
                    CARule(monoid, alphabet, memory, tau))
-    return ScanReport(total, 0, 0, witness is None, witness,
+    bijective = sum(map(len, bijections.values()))
+    return ScanReport(total, bijective, bijective, witness is None, witness,
                       {"pairs": total ** 2, "one_sided_identities": one_sided})
 
 

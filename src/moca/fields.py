@@ -1,20 +1,21 @@
 """Exact coefficient fields: GF(p), GF(p^k), and the rationals.
 
-Extension field elements are coefficient vectors of length k over GF(p),
-ascending degree, reduced modulo a monic irreducible polynomial in the
-generator t.  Rationals ride on fractions.Fraction, which keeps every value
-reduced.  All arithmetic is exact; there is no floating point anywhere.
+A finite field value is its rank, an int in [0, q).  Over GF(p) that is the
+residue mod p.  Over GF(p^k) the base-p digits of the rank, low digit first,
+are the coefficients of a polynomial in the generator t reduced modulo a
+monic irreducible polynomial of degree k; literals are parsed and printed
+through those digits, and all arithmetic reads q x q Cayley tables built
+with the field.  So 0 -> 0 and 1 -> 1 always, and the remaining elements sort
+lexicographically by descending-degree coefficients.  Deterministic witness
+selection everywhere else in the package leans on this ordering.  Extension
+fields are bounded at q <= 256, which keeps each table at 65536 entries.
+Rationals ride on fractions.Fraction, which keeps every value reduced.  All
+arithmetic is exact; there is no floating point anywhere.
 
-scalar_rank fixes a bijection field -> [0, q): the rank of an element is the
-base-p value of its coefficient vector, so 0 -> 0 and 1 -> 1 always, and the
-remaining elements sort lexicographically by descending-degree coefficients.
-Deterministic witness selection everywhere else in the package leans on this
-ordering.
-
-Factories return one object per field, interned by key ((p), or (p, k,
-normalised modulus); rationals() is a singleton), so every carrier check is
-`is`; another modulus gives another field.  Primes must be below the bound
-where Miller-Rabin on the first 13 prime bases is exact.
+field_make returns one object per field, interned by (p) or (p, k,
+normalised modulus), and rationals() is a singleton, so every carrier check
+is `is`; another modulus gives another field.  Primes must be below the
+bound where Miller-Rabin on the first 13 prime bases is exact.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import CarrierMismatch, NotFinite, ParseError, ValidationError
+from .errors import CarrierMismatch, NotFinite, ParseError, ValidationError, _check_space
 
 __all__ = [
     "Field",
@@ -36,6 +37,7 @@ __all__ = [
     "random_scalar",
     "decode_digits",
     "DEFAULT_MODULI",
+    "MAX_EXTENSION_ORDER",
 ]
 
 
@@ -83,57 +85,19 @@ def _ptrim(c):
     return tuple(c)
 
 
-def _pdivmod(a, b, p):
-    a = list(_ptrim(a))
-    b = _ptrim(b)
+def _pmod(a, b, p):
+    """The remainder of a modulo the nonzero polynomial b."""
+    a, b = list(_ptrim(a)), _ptrim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     db = len(b) - 1
-    if len(a) - 1 < db:
-        return (), _ptrim(a)
     linv = pow(b[-1], -1, p)
-    q = [0] * (len(a) - db)
     for da in range(len(a) - 1, db - 1, -1):
         c = (a[da] * linv) % p
         if c:
-            q[da - db] = c
             for i in range(db + 1):
                 a[da - db + i] = (a[da - db + i] - c * b[i]) % p
-    return _ptrim(q), _ptrim(a)
-
-
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
-
-
-def _pmulmod(a, b, f, p):
-    prod = [0] * (len(a) + len(b))
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    return _pmod(prod, f, p)
-
-
-def _ppowmod(a, e, f, p):
-    out, base = (1,), _pmod(a, f, p)
-    while e:
-        if e & 1:
-            out = _pmulmod(out, base, f, p)
-        base = _pmulmod(base, base, f, p)
-        e >>= 1
-    return out
-
-
-def _pgcd(a, b, p):
-    """The monic gcd (or () when both are zero)."""
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if not a:
-        return a
-    linv = pow(a[-1], -1, p)
-    return tuple(c * linv % p for c in a)
+    return _ptrim(a)
 
 
 def _format_poly(coeffs):
@@ -152,35 +116,57 @@ def _format_poly(coeffs):
 
 
 def _irreducibility_witness(modulus, p):
-    """Return a proper monic factor of `modulus` over GF(p), or None.
-
-    The least degree of a factor is the least i with gcd(f, t^(p^i) - t)
-    != 1 (Rabin), and every monic divisor of that degree is irreducible,
-    hence divides the gcd; candidates are enumerated only there, so an
-    irreducible modulus costs O(k log p) products, not p^(k/2) divisions.
-    """
+    """The least monic factor of least degree of `modulus` over GF(p), or
+    None, by trial division; under the order bound that is at most 16
+    candidates per degree."""
     k = len(modulus) - 1
-    frob = (0, 1)  # t^(p^deg) mod f
     for deg in range(1, k // 2 + 1):
-        frob = _ppowmod(frob, p, modulus, p)
-        diff = list(frob) + [0] * (2 - len(frob))
-        diff[1] = (diff[1] - 1) % p
-        g = _pgcd(modulus, diff, p)
-        if len(g) == 1:
-            continue
-        if len(g) == deg + 1:
-            return g
-        # all monic polynomials of this degree
         for idx in range(p**deg):
-            coeffs = []
-            r = idx
-            for _ in range(deg):
-                coeffs.append(r % p)
-                r //= p
-            cand = tuple(coeffs) + (1,)
-            if not _pmod(g, cand, p):
+            cand = tuple(decode_digits(idx, p, deg)[::-1]) + (1,)
+            if not _pmod(modulus, cand, p):
                 return cand
     return None
+
+
+def _extension_tables(p, k, modulus):
+    """(add, mul, neg, inv) of GF(p^k) indexed by rank, inv[0] = 0.
+
+    Write b = c + t*b', with c the constant term (the low base-p digit of
+    the rank) and b' the rank shifted down one digit.  Then a + b and -b
+    recur digit by digit, and a*b = c*a + t*(a*b') reads entries already
+    filled, so no polynomial is ever multiplied.
+    """
+    q = p**k
+    top = q // p
+    digits = [(r % p, r // p) for r in range(q)]
+    add = [list(range(q))]
+    for a in range(1, q):
+        a0, rest = a % p, add[a // p]
+        add.append([(a0 + c) % p + p * rest[b] for c, b in digits])
+    neg = [0] * q
+    for r in range(1, q):
+        neg[r] = -r % p + p * neg[r // p]
+    # t*x shifts the digits of x up and folds the top digit d back in as
+    # d * t^k, where t^k = -(the modulus below its leading term)
+    tk = 0
+    for m in reversed(modulus[:k]):
+        tk = tk * p + -m % p
+    fold = [0]
+    for _ in range(1, p):
+        fold.append(add[fold[-1]][tk])
+    times_t = [add[x % top * p][fold[x // top]] for x in range(q)]
+    mul = []
+    for a in range(q):
+        row = [0]
+        for _ in range(1, p):
+            row.append(add[row[-1]][a])
+        scaled = row[:]  # c*a for each constant c
+        for b in range(1, top):
+            shifted = add[times_t[row[b]]]
+            row += [shifted[v] for v in scaled]
+        mul.append(row)
+    inv = [0] + [row.index(1) for row in mul[1:]]
+    return add, mul, neg, inv
 
 
 # default monic irreducible moduli for every prime power q <= 64 with k > 1
@@ -266,9 +252,12 @@ class Scalar:
 
 
 class Field:
-    """Common surface for the three carrier kinds."""
+    """Common surface for the three carrier kinds; finite values are ranks."""
 
     is_rational = False
+    zero_v = 0
+    one_v = 1
+    _tables = None
 
     def scalar_from_int(self, n):
         return Scalar(self, self.int_v(n))
@@ -289,6 +278,17 @@ class Field:
             raise NotFinite(f"{self.name()} is infinite")
         return [self.unrank(r) for r in range(self.order)]
 
+    def rank_v(self, a):
+        """A finite field value is its own rank."""
+        if self.order is None:
+            raise NotFinite(f"{self.name()} has no scalar rank")
+        return a
+
+    def unrank_v(self, r):
+        if not 0 <= self.rank_v(r) < self.order:
+            raise ValidationError(f"rank {r} out of range for {self.name()}")
+        return r
+
     def unrank(self, r):
         return Scalar(self, self.unrank_v(r))
 
@@ -296,18 +296,18 @@ class Field:
         return Scalar(self, self.parse_literal_v(text))
 
     def rank_tables(self):
-        """Cayley tables for + and * indexed by rank; finite fields only."""
+        """Cayley tables (add, mul, neg, inv) indexed by rank, inv[0] = 0;
+        finite fields only.  GF(p^k) builds them with the field, GF(p) on
+        first use."""
         if self.order is None:
             raise NotFinite(f"{self.name()} has no rank tables")
-        tabs = getattr(self, "_rank_tables", None)
-        if tabs is None:
-            q = self.order
-            vals = [self.unrank_v(r) for r in range(q)]
-            add = [[self.rank_v(self.add_v(vals[i], vals[j])) for j in range(q)] for i in range(q)]
-            mul = [[self.rank_v(self.mul_v(vals[i], vals[j])) for j in range(q)] for i in range(q)]
-            tabs = (add, mul)
-            self._rank_tables = tabs
-        return tabs
+        if self._tables is None:
+            els = range(self.order)
+            self._tables = ([[self.add_v(a, b) for b in els] for a in els],
+                            [[self.mul_v(a, b) for b in els] for a in els],
+                            [self.neg_v(a) for a in els],
+                            [0] + [self.inv_v(a) for a in els[1:]])
+        return self._tables
 
     def __repr__(self):
         return f"<{self.name()}>"
@@ -315,15 +315,9 @@ class Field:
 
 class PrimeField(Field):
     def __init__(self, p):
-        _check_prime(p)
         self.p = p
         self.k = 1
         self.order = p
-        self.zero_v = 0
-        self.one_v = 1 % p
-
-    def key(self):
-        return ("prime", self.p)
 
     def name(self):
         return f"GF({self.p})"
@@ -351,14 +345,6 @@ class PrimeField(Field):
             raise ZeroDivisionError(f"division by zero in {self.name()}")
         return pow(a, -1, self.p)
 
-    def rank_v(self, a):
-        return a
-
-    def unrank_v(self, r):
-        if not 0 <= r < self.p:
-            raise ValidationError(f"rank {r} out of range for {self.name()}")
-        return r
-
     def literal_of_v(self, a):
         return str(a)
 
@@ -370,45 +356,16 @@ class PrimeField(Field):
 
 
 class ExtensionField(Field):
-    def __init__(self, p, k, modulus=None):
-        _check_prime(p)
-        if k < 2:
-            raise ValidationError(f"extension degree must be >= 2, got {k}")
-        if modulus is None:
-            modulus = DEFAULT_MODULI.get((p, k))
-            if modulus is None:
-                raise ValidationError(
-                    f"no default modulus for GF({p}^{k}); supply one")
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValidationError(
-                f"modulus must be monic of degree {k}", witness=modulus)
-        factor = _irreducibility_witness(modulus, p)
-        if factor is not None:
-            raise ValidationError(
-                f"modulus {_format_poly(modulus)} is reducible over GF({p}); "
-                f"factor {_format_poly(factor)}",
-                witness=factor)
+    """GF(p^k) for a modulus that field_make has checked; every operation
+    is a read of the tables built here."""
+
+    def __init__(self, p, k, modulus):
         self.p = p
         self.k = k
         self.modulus = modulus
         self.order = p**k
-        self.zero_v = (0,) * k
-        self.one_v = (1,) + (0,) * (k - 1)
-        # t^(k+j) reduced, for folding products back below degree k
-        red = []
-        cur = tuple((-modulus[i]) % p for i in range(k))  # t^k
-        red.append(cur)
-        for _ in range(k - 2):
-            shifted = (0,) + cur[: k - 1]
-            top = cur[k - 1]
-            cur = tuple((shifted[i] + top * red[0][i]) % p for i in range(k))
-            red.append(cur)
-        self._red = red
-        self._inv_cache = {}
-
-    def key(self):
-        return ("ext", self.p, self.k, self.modulus)
+        self._tables = _extension_tables(p, k, modulus)
+        self._add, self._mul, self._neg, self._inv = self._tables
 
     def name(self):
         return f"GF({self.p}^{self.k})"
@@ -417,79 +374,31 @@ class ExtensionField(Field):
         return f"{self.p}^{self.k}"
 
     def int_v(self, n):
-        return (n % self.p,) + (0,) * (self.k - 1)
+        return n % self.p  # a constant is its own rank
 
     def add_v(self, a, b):
-        p = self.p
-        return tuple((a[i] + b[i]) % p for i in range(self.k))
+        return self._add[a][b]
 
     def sub_v(self, a, b):
-        p = self.p
-        return tuple((a[i] - b[i]) % p for i in range(self.k))
-
-    def neg_v(self, a):
-        p = self.p
-        return tuple((-a[i]) % p for i in range(self.k))
+        return self._add[a][self._neg[b]]
 
     def mul_v(self, a, b):
-        p, k = self.p, self.k
-        prod = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] = (prod[i + j] + ai * bj) % p
-        out = prod[:k]
-        for e in range(k, 2 * k - 1):
-            c = prod[e]
-            if c:
-                row = self._red[e - k]
-                for i in range(k):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
+        return self._mul[a][b]
+
+    def neg_v(self, a):
+        return self._neg[a]
 
     def inv_v(self, a):
-        if a == self.zero_v:
+        if a == 0:
             raise ZeroDivisionError(f"division by zero in {self.name()}")
-        inv = self._inv_cache.get(a)
-        if inv is None:
-            # a^(q-2), since the nonzero elements form a group of order q-1
-            inv, base, e = self.one_v, a, self.order - 2
-            while e:
-                if e & 1:
-                    inv = self.mul_v(inv, base)
-                base = self.mul_v(base, base)
-                e >>= 1
-            self._inv_cache[a] = inv
-        return inv
-
-    def rank_v(self, a):
-        r = 0
-        for c in reversed(a):
-            r = r * self.p + c
-        return r
-
-    def unrank_v(self, r):
-        if not 0 <= r < self.order:
-            raise ValidationError(f"rank {r} out of range for {self.name()}")
-        out = []
-        for _ in range(self.k):
-            out.append(r % self.p)
-            r //= self.p
-        return tuple(out)
-
-    def from_coeffs(self, coeffs):
-        """Scalar from an arbitrary-degree coefficient list, reduced."""
-        coeffs = tuple(c % self.p for c in coeffs)
-        rem = _pmod(_ptrim(coeffs), self.modulus, self.p)
-        return Scalar(self, tuple(rem) + (0,) * (self.k - len(rem)))
+        return self._inv[a]
 
     @property
     def generator(self):
-        return Scalar(self, (0, 1) + (0,) * (self.k - 2))
+        return Scalar(self, self.p)  # t: the digits (0, 1, 0, ...)
 
     def literal_of_v(self, a):
-        return _format_poly(a)
+        return _format_poly(decode_digits(a, self.p, self.k)[::-1])
 
     def parse_literal_v(self, text):
         s = re.sub(r"\s+", "", text)
@@ -528,9 +437,11 @@ class ExtensionField(Field):
             else:
                 deg = int(m.group(3)) if m.group(3) is not None else 1
             degs[deg] = degs.get(deg, 0) + sg * coeff
-        top = max(degs) if degs else 0
-        vec = [degs.get(d, 0) % self.p for d in range(top + 1)]
-        return self.from_coeffs(vec).v
+        # Horner's rule in t, whose rank is p
+        r = 0
+        for d in range(max(degs), -1, -1):
+            r = self._add[self._mul[r][self.p]][degs.get(d, 0) % self.p]
+        return r
 
 
 class RationalField(Field):
@@ -540,9 +451,6 @@ class RationalField(Field):
     order = None
     zero_v = Fraction(0)
     one_v = Fraction(1)
-
-    def key(self):
-        return ("rational",)
 
     def name(self):
         return "Q"
@@ -570,12 +478,6 @@ class RationalField(Field):
             raise ZeroDivisionError("division by zero in Q")
         return 1 / a
 
-    def rank_v(self, a):
-        raise NotFinite("Q has no scalar rank")
-
-    def unrank_v(self, r):
-        raise NotFinite("Q has no scalar rank")
-
     def literal_of_v(self, a):
         if a.denominator == 1:
             return str(a.numerator)
@@ -600,18 +502,49 @@ def rationals():
     return _RATIONALS
 
 
+# the q x q tables of an extension field hold at most 256^2 entries
+MAX_EXTENSION_ORDER = 256
+
 _FIELDS = {}
 
 
 def field_make(p, k=1, modulus=None):
-    """Build GF(p^k), then intern it by key; modulus defaults from a table."""
+    """GF(p^k), built once per key and then interned; the modulus defaults
+    from a table.  Extension orders above MAX_EXTENSION_ORDER are refused
+    before p**k is formed."""
+    if k == 1 and modulus is not None:
+        raise ValidationError("prime fields take no modulus")
+    _check_prime(p)
     if k == 1:
-        if modulus is not None:
-            raise ValidationError("prime fields take no modulus")
-        field = PrimeField(p)
+        key = (p,)
     else:
-        field = ExtensionField(p, k, modulus)
-    return _FIELDS.setdefault(field.key(), field)
+        if k < 2:
+            raise ValidationError(f"extension degree must be >= 2, got {k}")
+        if modulus is None:
+            modulus = DEFAULT_MODULI.get((p, k))
+            if modulus is None:
+                raise ValidationError(
+                    f"no default modulus for GF({p}^{k}); supply one")
+        _check_space(p, k, MAX_EXTENSION_ORDER, "extension field order")
+        modulus = tuple(c % p for c in modulus)
+        if len(modulus) != k + 1 or modulus[-1] != 1:
+            raise ValidationError(
+                f"modulus must be monic of degree {k}", witness=modulus)
+        key = (p, k, modulus)
+    field = _FIELDS.get(key)
+    if field is None:
+        if k == 1:
+            field = PrimeField(p)
+        else:
+            factor = _irreducibility_witness(modulus, p)
+            if factor is not None:
+                raise ValidationError(
+                    f"modulus {_format_poly(modulus)} is reducible over "
+                    f"GF({p}); factor {_format_poly(factor)}",
+                    witness=factor)
+            field = ExtensionField(p, k, modulus)
+        _FIELDS[key] = field
+    return field
 
 
 def parse_field_spec(text):

@@ -13,8 +13,8 @@ finiteness hypothesis is dropped, and bicyclic_witness packages it.
 
 flat_mul and gauss_rank compute on plain ints, one branch per field kind:
 GF(p) sums integer products and reduces mod p once per cell (rank pivots
-invert with pow(x, -1, p)); GF(p^k) maps entries to ranks and uses the
-field's cached q x q rank tables; Q clears denominators, so a product cell is
+invert with pow(x, -1, p)); GF(p^k) values are ranks, read through the
+field's q x q tables; Q clears denominators, so a product cell is
 one integer over the product of a row lcm and a column lcm, and rank is
 fraction-free Bareiss elimination (Bareiss 1968) on rows scaled to integers.
 Rank stops at row-echelon form.
@@ -138,18 +138,14 @@ def flat_mul(a, b):
                     acc = [s + x * y for s, y in zip(acc, brow)]
             out.append(tuple(s % p for s in acc))
     else:
-        add_t, mul_t = f.rank_tables()
-        vals = [f.unrank_v(r) for r in range(f.order)]
-        rank_v = f.rank_v
-        b_ranks = [[rank_v(y) for y in row] for row in b.rows]
+        add_t, mul_t, _, _ = f.rank_tables()
         for arow in a.rows:
             acc = [0] * n
-            for x, brow in zip(arow, b_ranks):
-                rx = rank_v(x)
-                if rx:
-                    mrow = mul_t[rx]
+            for x, brow in zip(arow, b.rows):
+                if x:
+                    mrow = mul_t[x]
                     acc = [add_t[s][mrow[y]] for s, y in zip(acc, brow)]
-            out.append(tuple(vals[s] for s in acc))
+            out.append(tuple(acc))
     return FlatMatrix(f, n, tuple(out))
 
 
@@ -167,13 +163,11 @@ def gauss_rank(flat):
             d = lcm(*(x.denominator for x in row))
             rows.append([x.numerator * (d // x.denominator) for x in row])
         prev = 1  # the previous pivot, which divides every updated entry
-    elif f.k == 1:
+    else:
         p = f.p
         rows = [list(row) for row in flat.rows]
-    else:
-        add_t, mul_t = f.rank_tables()
-        rank_v = f.rank_v
-        rows = [[rank_v(x) for x in row] for row in flat.rows]
+        if f.k > 1:
+            add_t, mul_t, neg_t, inv_t = f.rank_tables()
     rank = 0
     for col in range(n):
         pivot = next((r for r in range(rank, n) if rows[r][col]), None)
@@ -195,11 +189,11 @@ def gauss_rank(flat):
                     m = c * inv % p
                     rows[r] = [(x - m * y) % p for x, y in zip(rows[r], prow)]
         else:
-            inv = mul_t[pv].index(1)
+            inv = inv_t[pv]
             for r in range(rank + 1, n):
                 c = rows[r][col]
                 if c:
-                    mrow = mul_t[add_t[mul_t[c][inv]].index(0)]  # times -c/pv
+                    mrow = mul_t[neg_t[mul_t[c][inv]]]  # times -c/pv
                     rows[r] = [add_t[x][mrow[y]] for x, y in zip(rows[r], prow)]
         rank += 1
     return rank

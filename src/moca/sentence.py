@@ -223,9 +223,7 @@ def find_model(system, field, context=None, budget=DEFAULT_SENTENCE_BUDGET,
     if any(eq.impossible for eq in system.equations):
         return SolveResult(False, None, None, None, None, space,
                            reason="identity is not a product of two support elements")
-    add, mul = field.rank_tables()
-    ops = (add, mul, [row.index(0) for row in add],
-           [0] + [mul[a].index(1) for a in range(1, q)])
+    ops = field.rank_tables()
     nx = ny = nvars // 2
 
     def linear(eqs):

@@ -329,10 +329,14 @@ def test_direct_finiteness_scan_cyclic2():
     # differential against the all-pairs oracle on every monoid of order <= 3
     for m in [cyclic(2)] + [m for n in (1, 2, 3) for m in enumerate_monoids(n)]:
         rep = direct_finiteness_scan(m, A2)
-        total, _, one_sided, violations = oracle_scan(m, 2)
+        total, n_inj, one_sided, violations = oracle_scan(m, 2)
         assert violations == 0
         assert rep.ok and rep.witness is None
         assert rep.total == total and rep.extra["pairs"] == total ** 2
+        # its bijective counts are the surjunctivity scan's, so one scan
+        # serves `ca-scan-surjunctivity`
+        assert rep.injective == rep.surjective == n_inj
+        assert rep.injective == surjunctivity_scan(m, A2).injective
         assert rep.extra["one_sided_identities"] == one_sided
         assert rep.extra["one_sided_identities"] >= 1
 
@@ -358,6 +362,7 @@ def test_direct_finiteness_scan_small_memory():
                     if tuple(sm[x] for x in tm) == ident)
     assert rep.ok and rep.total == 16
     assert rep.extra["one_sided_identities"] == one_sided
+    assert rep.injective == rep.surjective == sum(len(set(fm)) == 8 for fm in maps)
 
 
 def test_scan_budget_guards():

@@ -1,0 +1,76 @@
+"""Golden CLI output over the extension fields.
+
+Each case runs `moca` in process and compares its exit code and stdout with
+the text pinned in cli_golden.txt.  The cases print extension-field literals
+(parsed, multiplied and printed through ranks), sentence models and their
+witness indices, so a change of representation or of arithmetic shows up as
+a diff here.  After a deliberate change of output, regenerate the file with
+
+    PYTHONPATH=src python tests/test_cli_golden.py > tests/cli_golden.txt
+
+and review the diff.
+"""
+
+import contextlib
+import io
+import os
+import re
+import shlex
+import sys
+
+import pytest
+
+from moca.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "cli_golden.txt")
+DEFAULT_FIELDS = ("2^2", "2^3", "2^4", "2^5", "2^6", "3^2", "3^3", "5^2", "7^2")
+
+CASES = (
+    [["amul", "--monoid", "cyclic:3", "--field", f,
+      "t*1 + (t^3+1)*g - (2*t^2+1)*g^2", "(t^5+t)*1 + t^4*g^2"]
+     for f in DEFAULT_FIELDS]
+    + [["sentence", "solve", "--monoid", "bicyclic", "--support", "p,q",
+        "--dim", "1", "--field", f] + fmt
+       for f in ("2^3", "3^2", "5^2", "7^2", "2^6")
+       for fmt in ([], ["--format", "json"])]
+    + [["lca-check-antihom", "--monoid", m, "--field", f, "--dim", "2",
+        "--count", "10", "--seed", "7", "--format", "json"]
+       for m, f in (("bicyclic", "2^2"), ("cyclic:3", "3^2"))]
+    + [["finiteness", "bicyclic-witness", "--field", "3^3"]]
+)
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    return rc, out.getvalue()
+
+
+def render(argv):
+    rc, out = run(argv)
+    return f"$ moca {shlex.join(argv)}\nexit {rc}\n{out}"
+
+
+def load_golden():
+    """{command line: (exit code, stdout)} from the golden file."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        sections = re.split(r"^\$ moca ", fh.read(), flags=re.M)[1:]
+    golden = {}
+    for section in sections:
+        command, exit_line, out = section.split("\n", 2)
+        golden[command] = (int(exit_line.removeprefix("exit ")), out)
+    return golden
+
+
+def test_golden_file_covers_the_cases():
+    assert sorted(load_golden()) == sorted(shlex.join(argv) for argv in CASES)
+
+
+@pytest.mark.parametrize("argv", CASES, ids=shlex.join)
+def test_cli_output_matches_golden(argv):
+    assert run(argv) == load_golden()[shlex.join(argv)]
+
+
+if __name__ == "__main__":
+    sys.stdout.write("".join(render(argv) for argv in CASES))

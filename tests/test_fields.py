@@ -3,18 +3,21 @@
 The extension-field oracle below is deliberately independent of the package:
 schoolbook polynomial multiplication followed by long division by the
 modulus, all in plain ints.  Frozen expected values were computed with it.
+An extension-field value is a rank; `coeffs` decodes it into the coefficient
+vector the oracle works on.
 """
 
 import itertools
+import random
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from moca.errors import CarrierMismatch, NotFinite, ParseError, ValidationError
+from moca.errors import BudgetExceeded, CarrierMismatch, NotFinite, ParseError, ValidationError
 from moca.algebra import alg_one
-from moca.fields import _MR_BOUND, _irreducibility_witness, _is_prime, _pmod, field_make, parse_field_spec, rationals, DEFAULT_MODULI
+from moca.fields import _MR_BOUND, _extension_tables, _irreducibility_witness, _is_prime, _pmod, field_make, parse_field_spec, rationals, DEFAULT_MODULI, MAX_EXTENSION_ORDER
 from moca.monoids import cyclic
 
 
@@ -34,6 +37,16 @@ def oracle_mul(a, b, modulus, p):
     while len(prod) < k:
         prod.append(0)
     return tuple(prod)
+
+
+def coeffs(x):
+    """The ascending coefficient vector of an extension-field scalar: the
+    base-p digits of its rank, low digit first."""
+    r, out = x.v, []
+    for _ in range(x.field.k):
+        out.append(r % x.field.p)
+        r //= x.field.p
+    return tuple(out)
 
 
 def oracle_has_root(modulus, p):
@@ -57,7 +70,8 @@ def test_gf4_generator_square_frozen():
     assert oracle_mul((0, 1), (0, 1), (1, 1, 1), 2) == (1, 1)
     f4 = field_make(2, 2)
     t = f4.generator
-    assert (t * t).v == (1, 1)
+    assert coeffs(t * t) == (1, 1)
+    assert (t * t).v == 3  # the rank 1 + 1*2
     assert str(t * t) == "t+1"
 
 
@@ -65,7 +79,7 @@ def test_gf4_matches_oracle_on_all_pairs():
     f4 = field_make(2, 2)
     for x in f4.elements():
         for y in f4.elements():
-            assert (x * y).v == oracle_mul(x.v, y.v, (1, 1, 1), 2)
+            assert coeffs(x * y) == oracle_mul(coeffs(x), coeffs(y), (1, 1, 1), 2)
 
 
 def test_gf9_and_gf8_match_oracle():
@@ -73,7 +87,7 @@ def test_gf9_and_gf8_match_oracle():
         f = field_make(p, k)
         for x in f.elements():
             for y in f.elements():
-                assert (x * y).v == oracle_mul(x.v, y.v, f.modulus, p)
+                assert coeffs(x * y) == oracle_mul(coeffs(x), coeffs(y), f.modulus, p)
 
 
 def test_nonprime_characteristic_rejected():
@@ -165,12 +179,71 @@ def test_irreducibility_witness_matches_trial_division():
 
 
 def test_large_characteristic_modulus_is_fast():
-    # t^2+1 is irreducible for p = 3 mod 4; trial division would need p steps
-    t0 = time.perf_counter()
-    f = field_make(1000003, 2, (1, 0, 1))
-    assert time.perf_counter() - t0 < 0.5
-    t = f.parse_literal("t")
-    assert t * t == -f.one
+    # GF(p^k) above q = 256 is refused before any factor search: t^2+1 is
+    # irreducible for p = 3 mod 4, and t^4+1 over GF(100003) is a product of
+    # two quadratics that used to take minutes to find.  The bound comes
+    # before the degree check, and 2^(10^9) is never formed.
+    for p, k, modulus in ((1000003, 2, (1, 0, 1)),
+                          (100003, 4, (1, 0, 0, 0, 1)),
+                          (2, 10**9, (1, 1))):
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as ei:
+            field_make(p, k, modulus)
+        assert time.perf_counter() - t0 < 0.1
+        assert f"{p}^{k}" in str(ei.value) and "256" in str(ei.value)
+
+
+def oracle_tables(f):
+    """(add, mul, neg, inv) by rank, from oracle_mul on coefficient vectors."""
+    p, q = f.p, f.order
+    vecs = [coeffs(f.unrank(r)) for r in range(q)]
+    rank = {v: r for r, v in enumerate(vecs)}
+    add = [[rank[tuple((x + y) % p for x, y in zip(a, b))] for b in vecs] for a in vecs]
+    mul = [[rank[oracle_mul(a, b, f.modulus, p)] for b in vecs] for a in vecs]
+    neg = [rank[tuple(-x % p for x in a)] for a in vecs]
+    inv = [0] + [row.index(1) for row in mul[1:]]
+    return add, mul, neg, inv
+
+
+@pytest.mark.parametrize("p,k", sorted(DEFAULT_MODULI))
+def test_extension_tables_match_oracle(p, k):
+    f = field_make(p, k)
+    assert f.rank_tables() == oracle_tables(f)
+    for x in f.elements():
+        assert type(x.v) is int and 0 <= x.v < f.order and x.v == x.rank()
+
+
+def best_build_time(p, k, modulus):
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        _extension_tables(p, k, modulus)
+        times.append(time.perf_counter() - t0)
+    return min(times)
+
+
+def test_default_field_tables_build_fast():
+    for (p, k), modulus in DEFAULT_MODULI.items():
+        assert best_build_time(p, k, modulus) < 0.005, (p, k)
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1)),  # t^8+t^4+t^3+t+1
+    (3, 5, (1, 2, 0, 0, 0, 1)),           # t^5+2t+1
+])
+def test_largest_extension_fields(p, k, modulus):
+    assert p**k <= MAX_EXTENSION_ORDER
+    assert best_build_time(p, k, modulus) < 0.1
+    f = field_make(p, k, modulus)
+    rng = random.Random(p * k)
+    for _ in range(2000):
+        x, y = f.unrank(rng.randrange(f.order)), f.unrank(rng.randrange(f.order))
+        assert coeffs(x * y) == oracle_mul(coeffs(x), coeffs(y), modulus, p)
+        assert f.parse_literal(str(x)) == x
+        if not y.is_zero():
+            assert (x / y) * y == x
+    with pytest.raises(BudgetExceeded):
+        field_make(3, 6, (2, 1, 0, 0, 0, 0, 1))  # q = 729
 
 
 def test_default_moduli_irreducible_by_oracle():
@@ -265,9 +338,9 @@ def test_mixed_field_operations_raise():
 
 def test_literal_parsing_gf4():
     f4 = field_make(2, 2)
-    assert f4.parse_literal("t+1").v == (1, 1)
-    assert f4.parse_literal(" t + 1 ").v == (1, 1)
-    assert f4.parse_literal("t^2").v == (1, 1)  # reduced mod t^2+t+1
+    assert coeffs(f4.parse_literal("t+1")) == (1, 1)
+    assert coeffs(f4.parse_literal(" t + 1 ")) == (1, 1)
+    assert coeffs(f4.parse_literal("t^2")) == (1, 1)  # reduced mod t^2+t+1
     assert f4.parse_literal("0").is_zero()
     with pytest.raises(ParseError):
         f4.parse_literal("u+1")

@@ -65,7 +65,7 @@ def _scan_range(args):
 
 def oracle_find_model(system, field):
     """(least model index, its assignment), or None."""
-    add_t, mul_t = field.rank_tables()
+    add_t, mul_t, _, _ = field.rank_tables()
     pos = tuple((eq.monomials, eq.rhs) for eq in system.equations)
     neg = tuple((eq.monomials, eq.rhs) for eq in system.negated)
     q, nvars = field.order, system.nvars
@@ -263,7 +263,7 @@ def test_check_model_agrees_with_rank_scan():
     for monoid, support, d in cases:
         spec, system = build_sentence(monoid, support, d)
         for field in (GF2, GF3, GF4):
-            add_t, mul_t = field.rank_tables()
+            add_t, mul_t, _, _ = field.rank_tables()
             pos = tuple((eq.monomials, eq.rhs) for eq in system.equations)
             neg = tuple((eq.monomials, eq.rhs) for eq in system.negated)
             for _ in range(25):
