@@ -14,6 +14,7 @@ first evaluates the inner rule at every outer memory site.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import (CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError,
@@ -373,8 +374,9 @@ def direct_finiteness_scan(monoid, alphabet, memory=None,
     well.  The scan therefore keeps only the bijective global maps, grouped
     by map with their table indices, inverts each one and pairs it with the
     rules whose map is that inverse: work linear in the rule count instead
-    of quadratic, with the same counts.  Every pair found is still
-    re-checked for tau(sigma(c)) = c.
+    of quadratic, with the same counts.  Every pair found is re-checked
+    apart from the maps that found it: both composites of its rules,
+    built by compose_rules, must induce the identity.
     """
     memory, maps = _rule_maps(monoid, alphabet, memory, rule_budget, config_budget)
     total = 0
@@ -391,13 +393,15 @@ def direct_finiteness_scan(monoid, alphabet, memory=None,
             smap[out] = c
         sigmas = bijections.get(tuple(smap), ())
         one_sided += len(sigmas) * len(taus)
-        if sigmas and any(tmap[s] != c for c, s in enumerate(smap)):
-            failures += [(sigma, tau) for sigma in sigmas for tau in taus]
-    witness = None
-    if failures:
-        (_, sigma), (_, tau) = min(failures)
-        witness = (CARule(monoid, alphabet, memory, sigma),
-                   CARule(monoid, alphabet, memory, tau))
+        identity = tuple(range(len(tmap)))
+        for (si, sigma), (ti, tau) in itertools.product(sigmas, taus):
+            pair = (CARule(monoid, alphabet, memory, sigma),
+                    CARule(monoid, alphabet, memory, tau))
+            if any(full_map(compose_rules(*rules, config_budget),
+                            config_budget) != identity
+                   for rules in (pair, pair[::-1])):
+                failures.append(((si, ti), pair))
+    witness = min(failures)[1] if failures else None
     bijective = sum(map(len, bijections.values()))
     return ScanReport(total, bijective, bijective, witness is None, witness,
                       {"pairs": total ** 2, "one_sided_identities": one_sided})

@@ -436,6 +436,7 @@ class ExtensionField(Field):
                 deg = 0
             else:
                 deg = int(m.group(3)) if m.group(3) is not None else 1
+            deg %= self.order - 1  # t is a unit, so t^(q-1) = 1
             degs[deg] = degs.get(deg, 0) + sg * coeff
         # Horner's rule in t, whose rank is p
         r = 0

@@ -27,6 +27,21 @@ by it.  The first such X is completed by a greedy descent to the least Y,
 so the model and its index are the least in the lexicographic order of all
 assignments, as an exhaustive scan would find them; the tests keep that
 scan as the oracle.
+
+When the system is the compiled sentence of a known monoid and support,
+the search also uses the augmentation eps: K[M] -> K, m -> 1, a ring
+homomorphism.  A model has eps(A) eps(B) = I, so eps(A) = sum_s A_s is
+invertible.  For a constant P in GL_d(K), (A, B) -> (A P, P^-1 B) keeps
+both supports and maps models to models, as B'A' = P^-1 (BA) P; each orbit
+meets eps(A) = I exactly once, at A eps(A)^-1, and an X block has a model
+iff that normal form does.  So the lex scan skips every X with a singular
+sum and decides each orbit once, and UNSAT is proved over the
+q^(d^2 (|S| - 1)) X blocks with eps(A) = I: the last support coefficient of
+entry (i, j) is delta_ij minus the others.  The least model's X has an
+invertible sum, so the model, its index and every printed byte are those
+of the plain scan.  The argument holds for the sentence only: a system
+that differs from it, such as a hand-edited `--system` file, takes the
+plain scan.
 """
 
 from __future__ import annotations
@@ -160,6 +175,7 @@ class SolveResult:
     matrix_b: object | None
     space: int
     reason: str | None = None
+    eliminated: int = 0  # X blocks whose Y system was solved
 
 
 def _reduce(row, basis, add, mul, neg):
@@ -204,16 +220,85 @@ def _has_model(xs, ys, pos, neg_eqs, ops, ny):
                for row in rows(neg_eqs))
 
 
+def _normalise(xs, d, ns, ops):
+    """X * eps(X)^-1, the X block with eps = I in the orbit of X, or None
+    when eps(X) = sum_s X_s is singular and X has no model.
+
+    X' eps = X, so Gauss-Jordan on the rows of [eps^T | X^T] leaves
+    [I | X'^T]: row j holds column j of eps and of every X_s."""
+    add, mul, neg, inv = ops
+    if d == 1:  # eps is a scalar: scale X by its inverse
+        eps = 0
+        for v in xs:
+            eps = add[eps][v]
+        return tuple(mul[inv[eps]][v] for v in xs) if eps else None
+    basis = [None] * d
+    for j in range(d):
+        blocks = [xs[(i * d + j) * ns:(i * d + j + 1) * ns] for i in range(d)]
+        row = []
+        for block in blocks:
+            acc = 0
+            for v in block:
+                acc = add[acc][v]
+            row.append(acc)
+        row += itertools.chain.from_iterable(blocks)
+        lead = _reduce(row, basis, add, mul, neg)
+        if lead is None or lead >= d:
+            return None  # column j of eps is a combination of the others
+        m = mul[inv[row[lead]]]
+        basis[lead] = [m[v] for v in row]
+    for c in reversed(range(d)):  # back-substitute to the reduced form
+        row, basis[c] = basis[c], None
+        _reduce(row, basis, add, mul, neg)
+        basis[c] = row
+    return tuple(basis[k][d + i * ns + s]
+                 for i in range(d) for k in range(d) for s in range(ns))
+
+
+def _normal_blocks(q, d, ns, ops):
+    """Every X block with eps(X) = I, in lex order: the last coefficient of
+    entry (i, j) is delta_ij minus the sum of its other coefficients."""
+    add, neg = ops[0], ops[2]
+    free = ns - 1
+    for vals in itertools.product(range(q), repeat=d * d * free):
+        xs = []
+        for e in range(d * d):
+            part = vals[e * free:(e + 1) * free]
+            i, j = divmod(e, d)
+            acc = int(i == j)
+            for v in part:
+                acc = add[acc][neg[v]]
+            xs += part
+            xs.append(acc)
+        yield tuple(xs)
+
+
+def _is_sentence(system, context):
+    """Is the system the compiled sentence of `context` at its dimension?"""
+    try:
+        _, built = build_sentence(*context, system.meta["d"])
+    except ValidationError:
+        return False
+    return (built.var_names, built.equations, built.negated) == \
+        (system.var_names, system.equations, system.negated)
+
+
 def find_model(system, field, context=None, budget=DEFAULT_SENTENCE_BUDGET,
                workers=1):
     """The least model of the system over a finite field, in rank-lex order.
 
-    Enumerates the X block and solves for Y by elimination (see the module
-    docstring); `budget` caps the full assignment space q^nvars all the
-    same.  `workers` is accepted for compatibility and has no effect.
-    Every model is re-checked by `check_model`; `context`, when given, is a
-    pair (monoid, support elements) matching the system, and the witness is
-    then also decoded into matrices and re-verified by matrix arithmetic.
+    Enumerates the X block and solves for Y by elimination.  `context`,
+    when given, is a pair (monoid, support elements) matching the system;
+    if the system equals build_sentence(*context, d), the search is
+    normalised as the module docstring sets out, with the same least model.
+    The lex scan then runs first over as many X blocks as there are orbits,
+    so a model found early costs no more than the plain scan.
+
+    `budget` caps the full assignment space q^nvars all the same.
+    `workers` is accepted for compatibility and has no effect.  Every model
+    is re-checked by `check_model`; with a context the witness is also
+    decoded into matrices and re-verified by matrix arithmetic.  The
+    result's `eliminated` counts the X blocks whose Y system was solved.
     """
     if not field.is_finite():
         raise NotFinite("model search needs a finite field")
@@ -231,11 +316,40 @@ def find_model(system, field, context=None, budget=DEFAULT_SENTENCE_BUDGET,
                      for eq in eqs)
 
     pos, neg_eqs = linear(system.equations), linear(system.negated)
-    for xs in itertools.product(range(q), repeat=nx):
-        if _has_model(xs, (), pos, neg_eqs, ops, ny):
-            break
+    eliminated = 0
+
+    def eliminate(xs):
+        nonlocal eliminated
+        eliminated += 1
+        return _has_model(xs, (), pos, neg_eqs, ops, ny)
+
+    lex = itertools.product(range(q), repeat=nx)
+    if context is not None and _is_sentence(system, context):
+        d = system.meta["d"]
+        ns = nx // (d * d)
+        decided = {}  # X block with eps = I -> its orbit has a model
+
+        def orbit_has_model(key, xs):
+            if key not in decided:
+                decided[key] = eliminate(xs)
+            return decided[key]
+
+        def has_model(xs):
+            key = _normalise(xs, d, ns, ops)
+            return key is not None and orbit_has_model(key, xs)
+
+        # as many lex blocks as there are orbits, then every orbit not yet
+        # decided; with a model somewhere, the lex scan goes on to the least
+        xs = next(filter(has_model, itertools.islice(lex, q ** (nx - d * d))),
+                  None)
+        if xs is None and any(orbit_has_model(key, key)
+                              for key in _normal_blocks(q, d, ns, ops)):
+            xs = next(filter(has_model, lex))
     else:
-        return SolveResult(False, None, None, None, None, space)
+        xs = next(filter(eliminate, lex), None)
+    if xs is None:
+        return SolveResult(False, None, None, None, None, space,
+                           eliminated=eliminated)
     # greedy descent: each Y coordinate takes the least value keeping a model
     ys = []
     for _ in range(ny):
@@ -259,7 +373,8 @@ def find_model(system, field, context=None, budget=DEFAULT_SENTENCE_BUDGET,
         if mat_a * mat_b != ident or mat_b * mat_a == ident:
             raise ValidationError("witness failed matrix re-verification",
                                   witness=(mat_a, mat_b))
-    return SolveResult(True, index, assignment, mat_a, mat_b, space)
+    return SolveResult(True, index, assignment, mat_a, mat_b, space,
+                       eliminated=eliminated)
 
 
 def decode_witness(system, field, assignment, monoid, support):

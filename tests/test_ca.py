@@ -350,6 +350,28 @@ def test_direct_finiteness_scan_cyclic2_alphabet3():
     assert rep.extra["one_sided_identities"] == surjunctivity_scan(m, A3).injective
 
 
+def test_direct_finiteness_recheck_can_fail(monkeypatch):
+    # over cyclic:2 the identity rule (table 0011) reports the global map of
+    # the swap (table 0101); the pairs built from that map must fail the
+    # re-check by composition
+    import moca.ca as ca
+    real = ca._rule_maps
+    swap = full_map(CARule(cyclic(2), A2, cyclic(2).elements(), (0, 1, 0, 1)))
+
+    def corrupt(*args):
+        memory, maps = real(*args)
+        return memory, ((t, swap if t == (0, 0, 1, 1) else f) for t, f in maps)
+
+    m = cyclic(2)
+    assert direct_finiteness_scan(m, A2).ok
+    monkeypatch.setattr(ca, "_rule_maps", corrupt)
+    rep = direct_finiteness_scan(m, A2)
+    assert not rep.ok
+    sigma, tau = rep.witness
+    assert (sigma.table, tau.table) == ((0, 0, 1, 1), (0, 1, 0, 1))
+    assert full_map(compose_rules(sigma, tau)) != tuple(range(4))
+
+
 def test_direct_finiteness_scan_small_memory():
     # a memory smaller than the monoid: inverses may need more memory, so
     # some bijections find no partner; the oracle pairs every rule

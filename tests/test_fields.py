@@ -346,6 +346,24 @@ def test_literal_parsing_gf4():
         f4.parse_literal("u+1")
 
 
+def test_literal_exponents_reduce_mod_q_minus_1():
+    # t is a unit, so t^(q-1) = 1 and a huge exponent costs nothing
+    big = 10 ** 18
+    for p, k in ((2, 2), (3, 2), (2, 4), (5, 2)):
+        f = field_make(p, k)
+        t0 = time.perf_counter()
+        x = f.parse_literal(f"t^{big}")
+        assert time.perf_counter() - t0 < 0.1
+        assert x == f.parse_literal(f"t^{big % (f.order - 1)}")
+        assert f.parse_literal(f"2*t^{f.order - 1} + t^{f.order}") == \
+            f.parse_literal("2") + f.generator
+        # the same values by repeated multiplication, for small exponents
+        power = f.one
+        for e in range(2 * f.order):
+            assert f.parse_literal(f"t^{e}") == power
+            power = power * f.generator
+
+
 def test_literal_parsing_prime_and_rational():
     f5 = field_make(5)
     assert f5.parse_literal("-2").v == 3

@@ -74,10 +74,31 @@ table3#10     256     8     8   65536        8     UNSAT
 done in <time>
 """
 
+# order <= 2 at d=2 over GF(3); an order-2 sentence has 3^16 assignments
+SCAN_SMALL_MONOIDS_D2 = """\
+monoid      rules   inj  surj   pairs  1-sided  sentence
+--------------------------------------------------------
+table1#0        4     2     2      16        2     UNSAT
+table2#0       16     4     4     256        4     UNSAT
+table2#1       16     2     2     256        2     UNSAT
+
+done in <time>
+"""
+
 
 def mask_times(text):
     """Replace each line-final wall-clock figure such as ` 0.02s`."""
     return re.sub(r" +\d+\.\d+s$", " <time>", text, flags=re.M)
+
+
+def run_script(script, *args, ok=True):
+    src = os.path.dirname(os.path.dirname(moca.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
+    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, script), *args],
+                          capture_output=True, encoding="utf-8", env=env,
+                          timeout=120)
+    assert (proc.returncode == 0) == ok, proc.stderr
+    return mask_times(proc.stdout) if ok else proc.stderr
 
 
 @pytest.mark.parametrize("script, expected", [
@@ -86,10 +107,12 @@ def mask_times(text):
     ("scan_small_monoids.py", SCAN_SMALL_MONOIDS),
 ])
 def test_script_output_is_pinned(script, expected):
-    src = os.path.dirname(os.path.dirname(moca.__file__))
-    env = dict(os.environ, PYTHONPATH=src, PYTHONIOENCODING="utf-8")
-    proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, script)],
-                          capture_output=True, encoding="utf-8", env=env,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert mask_times(proc.stdout) == expected
+    assert run_script(script) == expected
+
+
+def test_scan_small_monoids_at_d2_over_gf3_is_pinned():
+    args = ("scan_small_monoids.py", "--max-order", "2", "--dim", "2",
+            "--field", "3", "--budget")
+    assert run_script(*args, str(3 ** 16)) == SCAN_SMALL_MONOIDS_D2
+    err = run_script(*args, str(3 ** 16 - 1), ok=False)
+    assert "assignment space of size 3^16 exceeds budget" in err

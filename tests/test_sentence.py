@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import random
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moca.algebra import alg_from_terms, mat_from_entries, mat_identity
+from moca.cli import main
 import moca.sentence as sentence
 from moca.errors import BudgetExceeded, NotFinite, ParseError, ValidationError, _check_space
 from moca.fields import decode_digits, field_make, rationals
@@ -517,3 +520,149 @@ def test_parse_system_json_rejects_non_bilinear_monomials():
             obj[block][0]["monomials"][0] = [1, xi, yi]
             with pytest.raises(ParseError, match="must pair an x variable"):
                 parse_system_json(json.dumps(obj))
+
+
+# The normalised search.  With a context whose compiled sentence is the
+# system, find_model decides the verdict over the X blocks with
+# eps(A) = I and skips every X block with a singular sum; without one it
+# runs the plain lex scan.  Both must give the same least model.
+
+
+def normalised_instances():
+    """(monoid, support, d, field) over every monoid of order <= 3 and
+    bicyclic: every support of a finite monoid whose plain lex scan has at
+    most 2^12 X blocks, and every ordered bicyclic support with at most 2^8."""
+    b = bicyclic()
+    bic = (b.identity, b.p, b.q, b.p * b.p, b.q * b.q, b.q * b.p)
+    finite = [m for n in (1, 2, 3) for m in enumerate_monoids(n)]
+    for field in (GF2, GF3, GF4):
+        for d in (1, 2):
+            for n in (1, 2, 3):
+                blocks = field.order ** (d * d * n)
+                if blocks <= 2 ** 12:
+                    for monoid in finite:
+                        for support in itertools.combinations(monoid.elements(), n):
+                            yield monoid, support, d, field
+                if blocks <= 2 ** 8:
+                    for support in itertools.permutations(bic, n):
+                        yield b, support, d, field
+
+
+def normalised_mismatches(instances):
+    """Instances where the solver with context and the plain scan differ,
+    and the number of SAT instances."""
+    bad = []
+    sat = 0
+    for monoid, support, d, field in instances:
+        _, system = build_sentence(monoid, support, d)
+        res = find_model(system, field, context=(monoid, support))
+        plain = find_model(system, field)
+        if (res.sat, res.witness_index, res.assignment, res.reason) != \
+                (plain.sat, plain.witness_index, plain.assignment, plain.reason):
+            bad.append((monoid.spec_string(), [str(s) for s in support], d,
+                        field.name()))
+        sat += plain.sat
+    return bad, sat
+
+
+def test_normalised_search_matches_plain_scan():
+    instances = list(normalised_instances())
+    bad, sat = normalised_mismatches(instances)
+    assert bad == []
+    assert len(instances) == 928 and sat == 160
+
+
+def test_singular_normal_blocks_flip_a_verdict(monkeypatch):
+    # the mutation: the last coefficient of each entry is 0 instead of
+    # delta_ij minus the others, so the pass no longer covers every orbit
+    def zero_last(q, d, ns, ops):
+        free = ns - 1
+        for vals in itertools.product(range(q), repeat=d * d * free):
+            yield tuple(v for e in range(d * d)
+                        for v in vals[e * free:(e + 1) * free] + (0,))
+
+    b = bicyclic()
+    instances = [(m, s, d, f) for m, s, d, f in normalised_instances()
+                 if m is b and d == 2]
+    assert normalised_mismatches(instances)[0] == []
+    monkeypatch.setattr(sentence, "_normal_blocks", zero_last)
+    bad, _ = normalised_mismatches(instances)
+    assert ("bicyclic", ["q^1", "p^1"], 2, "GF(2)") in bad
+
+
+def _is_singular(field, xs, d, ns):
+    """Is sum_s X_s singular?  Scalar arithmetic, d <= 2."""
+    eps = [sum((field.unrank(r) for r in xs[e * ns:(e + 1) * ns]), field.zero)
+           for e in range(d * d)]
+    det = eps[0] if d == 1 else eps[0] * eps[3] - eps[1] * eps[2]
+    return det == field.zero
+
+
+def test_unsat_with_context_eliminates_one_block_per_orbit():
+    cases = [(m, 1, f) for m in enumerate_monoids(3) for f in (GF2, GF3, GF4)]
+    cases += [(cyclic(3), 2, GF2), (enumerate_monoids(2)[0], 2, GF3),
+              (cyclic(2), 3, GF2)]
+    for monoid, d, field in cases:
+        support = monoid.elements()
+        _, system = build_sentence(monoid, support, d)
+        res = find_model(system, field, context=(monoid, support), budget=2 ** 40)
+        assert not res.sat and res.reason is None
+        assert res.eliminated == field.order ** (d * d * (len(support) - 1))
+    # the plain scan solves for Y at every X block
+    _, system = build_sentence(cyclic(2), cyclic(2).elements(), 1)
+    assert find_model(system, GF3).eliminated == 9
+
+
+def test_sat_scan_never_eliminates_a_singular_block(monkeypatch):
+    real = sentence._has_model
+    seen = []
+
+    def recording(xs, ys, *args):
+        if not ys:
+            seen.append(xs)
+        return real(xs, ys, *args)
+
+    monkeypatch.setattr(sentence, "_has_model", recording)
+    b = bicyclic()
+    cases = [(s, 1, f) for s in SAT_SUPPORTS3 for f in ("2", "3", "2^3")]
+    cases += [(s, 2, "2") for s in SAT_INDICES_D2]
+    for text, d, spec in cases:
+        support = tuple(b.parse_element(s) for s in text.split(","))
+        field = field_make(*map(int, spec.split("^")))
+        _, system = build_sentence(b, support, d)
+        seen.clear()
+        plain = find_model(system, field)
+        seen.clear()
+        res = find_model(system, field, context=(b, support))
+        assert res.sat and res.witness_index == plain.witness_index
+        assert res.eliminated == len(seen) <= plain.eliminated
+        assert not any(_is_singular(field, xs, d, len(support)) for xs in seen)
+
+
+def test_edited_system_file_takes_the_plain_scan(tmp_path, monkeypatch):
+    # One monomial dropped from the first equation at d=2: the system is no
+    # more the compiled sentence, so the orbit argument is void.  It still
+    # has a model, a genuine matrix pair, but none with eps(A) = I.
+    b = bicyclic()
+    support = (b.p, b.q)
+    _, system = build_sentence(b, support, 2)
+    obj = json.loads(emit_json(system))
+    del obj["equations"][0]["monomials"][0]
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(obj))
+    edited = parse_system_json(path.read_text())
+    assert not sentence._is_sentence(edited, (b, support))
+    assert sentence._is_sentence(parse_system_json(emit_json(system)), (b, support))
+    want = oracle_find_model(edited, GF2)
+    assert want is not None and want[0] == 10260
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["sentence", "solve", "--system", str(path), "--monoid",
+                   "bicyclic", "--field", "2", "--format", "json"])
+    doc = json.loads(out.getvalue())
+    assert rc == 1 and doc["verdict"] == "SAT"
+    assert doc["witness"]["index"] == want[0]
+    # the normalised search would get it wrong
+    monkeypatch.setattr(sentence, "_is_sentence", lambda *args: True)
+    assert not find_model(edited, GF2, context=(b, support)).sat
