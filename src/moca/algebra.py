@@ -7,6 +7,12 @@ elements multiply and accumulate.  Matrices multiply the usual way with
 entries in K[M]; mat_support is the union of entry supports, which is also
 the minimal memory set of the cellular automaton the matrix induces.
 
+Every sum and product, of elements and of matrices, goes through one
+accumulator, _collect: it adds raw field values (Scalar.v) of equal monoid
+elements, drops zero sums, and wraps each surviving coefficient in a Scalar
+once.  alg_from_terms is the boundary where Scalars come in, so it checks
+their field.
+
 Literal grammar (whitespace-insensitive):
 
     literal  = term (("+" | "-") term)*     |  "0"
@@ -19,6 +25,8 @@ never contain `*`, which keeps the grammar unambiguous.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 from .errors import CarrierMismatch, ParseError, ValidationError, _content_lines
 from .fields import Scalar
@@ -40,13 +48,48 @@ __all__ = [
 ]
 
 
+def _check_field(field, x):
+    """Raise unless x (a Scalar, element or matrix) lives over `field`."""
+    if x.field is not field:
+        raise CarrierMismatch(f"mixed fields: {field.name()} vs {x.field.name()}")
+
+
 def _check_carriers(a, b):
     """Raise unless a and b share their field and their monoid."""
-    if a.field is not b.field:
-        raise CarrierMismatch(f"mixed fields: {a.field.name()} vs {b.field.name()}")
+    _check_field(a.field, b)
     if a.monoid is not b.monoid:
         raise CarrierMismatch(
             f"mixed monoids: {a.monoid.spec_string()} vs {b.monoid.spec_string()}")
+
+
+def _raw(terms):
+    """(element, raw value) for each term of a terms dict."""
+    return ((m, c.v) for m, c in terms.items())
+
+
+def _products(field, left, right):
+    """(m1*m2, raw c1*c2) for every term of `left` times every term of
+    `right`, both terms dicts."""
+    mul = field.mul_v
+    right = [(m2, c2.v) for m2, c2 in right.items()]
+    for m1, c1 in left.items():
+        a = c1.v
+        for m2, b in right:
+            yield m1 * m2, mul(a, b)
+
+
+def _collect(field, monoid, pairs):
+    """The element sum of (monoid element, raw value) pairs: values of equal
+    elements add with field.add_v, zero sums drop out, and each surviving
+    coefficient is wrapped in a Scalar once."""
+    add = field.add_v
+    acc = {}
+    for m, v in pairs:
+        old = acc.get(m)
+        acc[m] = v if old is None else add(old, v)
+    zero = field.zero_v
+    return AlgElem(field, monoid,
+                   {m: Scalar(field, v) for m, v in acc.items() if v != zero})
 
 
 class AlgElem:
@@ -74,15 +117,8 @@ class AlgElem:
         if not isinstance(other, AlgElem):
             return NotImplemented
         _check_carriers(self, other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = out.get(m)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return AlgElem(self.field, self.monoid, out)
+        return _collect(self.field, self.monoid,
+                        chain(_raw(self.terms), _raw(other.terms)))
 
     def __neg__(self):
         return AlgElem(self.field, self.monoid,
@@ -96,34 +132,17 @@ class AlgElem:
     def scale(self, scalar):
         if not isinstance(scalar, Scalar):
             raise ValidationError("scale expects a field scalar")
-        if scalar.field is not self.field:
-            raise CarrierMismatch(
-                f"mixed fields: {self.field.name()} vs {scalar.field.name()}")
-        if scalar.is_zero():
-            return AlgElem(self.field, self.monoid, {})
-        out = {}
-        for m, c in self.terms.items():
-            s = scalar * c
-            if not s.is_zero():
-                out[m] = s
-        return AlgElem(self.field, self.monoid, out)
+        _check_field(self.field, scalar)
+        mul, a = self.field.mul_v, scalar.v
+        return _collect(self.field, self.monoid,
+                        ((m, mul(a, c.v)) for m, c in self.terms.items()))
 
     def __mul__(self, other):
         if not isinstance(other, AlgElem):
             return NotImplemented
         _check_carriers(self, other)
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = m1 * m2
-                c = c1 * c2
-                acc = out.get(m)
-                s = c if acc is None else acc + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return AlgElem(self.field, self.monoid, out)
+        return _collect(self.field, self.monoid,
+                        _products(self.field, self.terms, other.terms))
 
     def __eq__(self, other):
         if not isinstance(other, AlgElem):
@@ -165,16 +184,13 @@ def alg_one(field, monoid):
 
 
 def alg_from_terms(field, monoid, pairs):
-    """Build from (element, scalar) pairs, accumulating and dropping zeros."""
-    out = {}
-    for m, c in pairs:
-        acc = out.get(m)
-        s = c if acc is None else acc + c
-        if s.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return AlgElem(field, monoid, out)
+    """Build from (element, scalar) pairs, accumulating and dropping zeros;
+    a scalar from another field raises CarrierMismatch."""
+    def raw():
+        for m, c in pairs:
+            _check_field(field, c)
+            yield m, c.v
+    return _collect(field, monoid, raw())
 
 
 def _split_top_level(text, seps):
@@ -304,17 +320,13 @@ class AlgMatrix:
         if not isinstance(other, AlgMatrix):
             return NotImplemented
         self._check(other)
-        d = self.d
-        out = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                acc = alg_zero(self.field, self.monoid)
-                for k in range(d):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return AlgMatrix(self.field, self.monoid, out)
+        field, monoid, d = self.field, self.monoid, self.d
+        a, b = self.entries, other.entries
+        return AlgMatrix(field, monoid, [
+            [_collect(field, monoid, chain.from_iterable(
+                _products(field, a[i][k].terms, b[k][j].terms) for k in range(d)))
+             for j in range(d)]
+            for i in range(d)])
 
     def __eq__(self, other):
         if not isinstance(other, AlgMatrix):
@@ -323,19 +335,6 @@ class AlgMatrix:
                 and self.monoid is other.monoid and self.entries == other.entries)
 
     __hash__ = None
-
-    def is_identity(self):
-        one = self.field.one
-        ident = self.monoid.identity
-        for i in range(self.d):
-            for j in range(self.d):
-                t = self.entries[i][j].terms
-                if i == j:
-                    if len(t) != 1 or t.get(ident) != one:
-                        return False
-                elif t:
-                    return False
-        return True
 
     def is_zero(self):
         return all(e.is_zero() for row in self.entries for e in row)

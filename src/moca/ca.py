@@ -289,24 +289,27 @@ def surjectivity(rule, config_budget=DEFAULT_CONFIG_BUDGET):
 def left_inverse(rule, config_budget=DEFAULT_CONFIG_BUDGET):
     """A rule sigma with memory the whole monoid and sigma(tau(c)) = c.
 
-    Off the image of tau the local map returns symbol 0.  Requires a finite
-    monoid and an injective rule; the collision pair is the error witness
-    otherwise.
+    Requires a finite monoid and an injective rule; the collision pair is
+    the error witness otherwise.  On a finite configuration set an injective
+    map is onto, so sigma is the two-sided inverse of tau.
     """
-    els, total = _config_elements(rule.monoid, rule.alphabet, config_budget)
+    els, _ = _config_elements(rule.monoid, rule.alphabet, config_budget)
     fmap = full_map(rule, config_budget)
     inj = _injectivity_of_map(rule, fmap)
     if not inj.ok:
         raise ValidationError("rule is not injective", witness=inj.witness)
     a = rule.alphabet.size
-    n = len(els)
-    top = a ** (n - 1)  # stride of the identity site, listed first
-    inv = {out: src for src, out in enumerate(fmap)}
-    table = []
-    for cfg in range(total):
-        pre = inv.get(cfg)
-        table.append(0 if pre is None else (pre // top) % a)
-    return CARule(rule.monoid, rule.alphabet, tuple(els), tuple(table))
+    top = a ** (len(els) - 1)  # stride of the identity site, listed first
+    return CARule(rule.monoid, rule.alphabet, tuple(els),
+                  tuple(pre // top % a for pre in _inverse_map(fmap)))
+
+
+def _inverse_map(fmap):
+    """The inverse of a bijective global map, as a tuple."""
+    inv = [0] * len(fmap)
+    for c, out in enumerate(fmap):
+        inv[out] = c
+    return tuple(inv)
 
 
 def all_rule_tables(alphabet_size, memory_len, rule_budget=DEFAULT_RULE_BUDGET):
@@ -330,35 +333,40 @@ class ScanReport:
     extra: dict
 
 
-def _rule_maps(monoid, alphabet, memory, rule_budget, config_budget):
-    """(memory, stream of (table, global map) over all rules in table order).
+def _bijections(monoid, alphabet, memory, rule_budget, config_budget):
+    """(memory, rule count, bijections) over all rules on the memory set,
+    where bijections maps each bijective global map to [(table index,
+    table), ...] in table order.
 
-    Both budgets are checked before any grid or table exists, configuration
-    space first so that the rule count a^(a^|S|) is cheap to compute."""
+    A global map sends a finite configuration set to itself, so it is
+    injective iff it is surjective iff it is a bijection: one image count
+    per rule decides all three.  Both budgets are checked before any grid
+    or table exists, configuration space first so that the rule count
+    a^(a^|S|) is cheap to compute."""
     els, _ = _config_elements(monoid, alphabet, config_budget)
     memory = tuple(els) if memory is None else tuple(memory)
     tables = all_rule_tables(alphabet.size, len(memory), rule_budget)
-    return memory, _global_maps(monoid, alphabet, memory, tables, config_budget)
+    total = 0
+    bijections = {}
+    for table, fmap in _global_maps(monoid, alphabet, memory, tables, config_budget):
+        if len(set(fmap)) == len(fmap):
+            bijections.setdefault(fmap, []).append((total, table))
+        total += 1
+    return memory, total, bijections
 
 
 def surjunctivity_scan(monoid, alphabet, memory=None,
                        rule_budget=DEFAULT_RULE_BUDGET,
                        config_budget=DEFAULT_CONFIG_BUDGET):
     """Every rule over the memory set (default: the whole monoid): does
-    injective imply surjective?  Returns counts and the first failing rule."""
-    memory, maps = _rule_maps(monoid, alphabet, memory, rule_budget, config_budget)
-    total = 0
-    injective_tables = []
-    for table, fmap in maps:
-        total += 1
-        # The global map sends a finite configuration set to itself, so it is
-        # injective iff its image is everything iff it is surjective: one
-        # image count gives both verdicts, and no rule can fail the law.
-        if len(set(fmap)) == len(fmap):
-            injective_tables.append(table)
-    bijective = len(injective_tables)
-    return ScanReport(total, bijective, bijective, True, None,
-                      {"memory": memory, "injective_tables": injective_tables})
+    injective imply surjective?  Returns counts; no rule can fail (see
+    _bijections)."""
+    memory, total, bijections = _bijections(monoid, alphabet, memory,
+                                            rule_budget, config_budget)
+    injective = sorted(itertools.chain.from_iterable(bijections.values()))
+    return ScanReport(total, len(injective), len(injective), True, None,
+                      {"memory": memory,
+                       "injective_tables": [table for _, table in injective]})
 
 
 def direct_finiteness_scan(monoid, alphabet, memory=None,
@@ -378,20 +386,12 @@ def direct_finiteness_scan(monoid, alphabet, memory=None,
     apart from the maps that found it: both composites of its rules,
     built by compose_rules, must induce the identity.
     """
-    memory, maps = _rule_maps(monoid, alphabet, memory, rule_budget, config_budget)
-    total = 0
-    bijections = {}  # global map -> [(table index, table), ...] in table order
-    for table, fmap in maps:
-        if len(set(fmap)) == len(fmap):
-            bijections.setdefault(fmap, []).append((total, table))
-        total += 1
+    memory, total, bijections = _bijections(monoid, alphabet, memory,
+                                            rule_budget, config_budget)
     one_sided = 0
     failures = []
     for tmap, taus in bijections.items():
-        smap = [0] * len(tmap)
-        for c, out in enumerate(tmap):
-            smap[out] = c
-        sigmas = bijections.get(tuple(smap), ())
+        sigmas = bijections.get(_inverse_map(tmap), ())
         one_sided += len(sigmas) * len(taus)
         identity = tuple(range(len(tmap)))
         for (si, sigma), (ti, tau) in itertools.product(sigmas, taus):

@@ -23,18 +23,15 @@ class MocaError(Exception):
 
 
 class ParseError(MocaError):
-    """Malformed textual input; carries line/column when known."""
+    """Malformed textual input; carries the line number when known."""
 
-    def __init__(self, message, line=None, col=None):
+    def __init__(self, message, line=None):
         self.message = message
         self.line = line
-        self.col = col
         super().__init__(str(self))
 
     def __str__(self):
-        where = ""
-        if self.line is not None:
-            where = f" (line {self.line}" + (f", col {self.col}" if self.col is not None else "") + ")"
+        where = "" if self.line is None else f" (line {self.line})"
         return f"{self.message}{where}"
 
 

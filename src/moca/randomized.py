@@ -10,11 +10,11 @@ import random
 from dataclasses import dataclass
 from itertools import product
 
-from .algebra import alg_from_terms, mat_from_entries, mat_identity
-from .errors import NotFinite
+from .algebra import alg_from_terms, alg_one, alg_zero, mat_from_entries, mat_identity
+from .errors import NotFinite, ValidationError
 from .fields import random_scalar
 from .linear_ca import lca_apply, lca_compose, matrix_from_action, rule_from_matrix
-from .monoids import canonical_sorted, product_set
+from .monoids import canonical_sorted
 from .patterns import convolve_matrix, convolve_scalar, pattern_add, random_vector_pattern, required_domain
 
 __all__ = [
@@ -86,54 +86,44 @@ def random_unit_pair(rng, monoid, field, d, pool=None, steps=3):
         pool = element_pool(monoid)
     units = _monoid_units(monoid, pool)
     ident = mat_identity(field, monoid, d)
-    u = ident
-    v = ident
-    zero = field.zero
+    one, zero = alg_one(field, monoid), alg_zero(field, monoid)
+    kinds = ["diag"] + (["transvection", "swap"] if d >= 2 else [])
+    u = v = ident
     for _ in range(steps):
-        kinds = ["diag"]
-        if d >= 2:
-            kinds += ["transvection", "swap"]
         kind = rng.choice(kinds)
-        if kind == "transvection":
-            i = rng.randrange(d)
+        i = j = rng.randrange(d)
+        if kind != "diag":
             j = rng.randrange(d - 1)
             if j >= i:
                 j += 1
-            c = random_scalar(rng, field)
-            m = rng.choice(pool)
-            term = alg_from_terms(field, monoid, [(m, c)])
-            factor = [[ident.entries[a][b] for b in range(d)] for a in range(d)]
-            factor[i][j] = term
-            inverse = [[ident.entries[a][b] for b in range(d)] for a in range(d)]
-            inverse[i][j] = -term
-            f = mat_from_entries(field, monoid, factor)
-            fi = mat_from_entries(field, monoid, inverse)
-        elif kind == "swap":
-            i = rng.randrange(d)
-            j = rng.randrange(d - 1)
-            if j >= i:
-                j += 1
-            rows = [[ident.entries[a][b] for b in range(d)] for a in range(d)]
-            rows[i][i] = rows[j][j] = alg_from_terms(field, monoid, [])
-            one_term = ident.entries[0][0]
-            rows[i][j] = one_term
-            rows[j][i] = one_term
+        rows = [list(row) for row in ident.entries]
+        if kind == "swap":
+            rows[i][i] = rows[j][j] = zero
+            rows[i][j] = rows[j][i] = one
             f = fi = mat_from_entries(field, monoid, rows)
         else:
-            i = rng.randrange(d)
             c = random_scalar(rng, field)
-            while c.is_zero():
-                c = random_scalar(rng, field)
-            m, minv = rng.choice(units) if units else (monoid.identity, monoid.identity)
-            rows = [[ident.entries[a][b] for b in range(d)] for a in range(d)]
-            rows[i][i] = alg_from_terms(field, monoid, [(m, c)])
-            inv_rows = [[ident.entries[a][b] for b in range(d)] for a in range(d)]
-            inv_rows[i][i] = alg_from_terms(field, monoid, [(minv, c.inverse())])
+            if kind == "transvection":
+                entry = alg_from_terms(field, monoid, [(rng.choice(pool), c)])
+                inverse = -entry
+            else:
+                while c.is_zero():
+                    c = random_scalar(rng, field)
+                m, minv = rng.choice(units) if units else (monoid.identity,) * 2
+                entry = alg_from_terms(field, monoid, [(m, c)])
+                inverse = alg_from_terms(field, monoid, [(minv, c.inverse())])
+            rows[i][j] = entry
             f = mat_from_entries(field, monoid, rows)
-            fi = mat_from_entries(field, monoid, inv_rows)
+            rows[i][j] = inverse
+            fi = mat_from_entries(field, monoid, rows)
         u = u * f
         v = fi * v
     return u, v
+
+
+def _check_count(count):
+    if count < 0:
+        raise ValidationError(f"trial count must be >= 0, got {count}")
 
 
 @dataclass(frozen=True)
@@ -158,6 +148,7 @@ def antihom_suite(monoid, field, d, count, seed):
     matrix A*B; probing that composite as a black box must return A*B; and
     probing the rule of A alone must return A.
     """
+    _check_count(count)
     rng = random.Random(seed)
     pool = element_pool(monoid)
     one = monoid.identity
@@ -197,6 +188,7 @@ def action_law_suite(monoid, field, d, count, seed, window_size=2):
 
     The d=1 instances also check the first law through convolve_scalar.
     """
+    _check_count(count)
     rng = random.Random(seed)
     pool = element_pool(monoid)
     ident = mat_identity(field, monoid, d)

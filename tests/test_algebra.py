@@ -6,6 +6,7 @@ import pytest
 
 from moca.errors import CarrierMismatch, ParseError
 from moca.algebra import (
+    AlgElem,
     alg_basis,
     alg_from_terms,
     alg_one,
@@ -84,13 +85,16 @@ def test_support_of_product_contained_in_product_set():
         assert prod_supp <= bound or x.is_zero() or y.is_zero()
 
 
+def _random_coeff(field, rng):
+    if field.is_finite():
+        return field.unrank(rng.randrange(field.order))
+    return field.parse_literal(f"{rng.randrange(-3, 4)}/{rng.randrange(1, 4)}")
+
+
 def _random_elem(monoid, field, pool, rng, max_terms=3):
     pairs = []
     for _ in range(rng.randrange(0, max_terms + 1)):
-        if field.is_finite():
-            c = field.unrank(rng.randrange(field.order))
-        else:
-            c = field.parse_literal(f"{rng.randrange(-3, 4)}/{rng.randrange(1, 4)}")
+        c = _random_coeff(field, rng)
         pairs.append((rng.choice(pool), c))
     return alg_from_terms(field, monoid, pairs)
 
@@ -132,6 +136,14 @@ def test_mixed_carrier_raises():
         alg_one(f2, b) + alg_one(f3, b)
     with pytest.raises(CarrierMismatch):
         alg_one(f2, b) * alg_one(f2, cyclic(2))
+    # raw values carry no field, so the boundary checks every scalar, even
+    # a lone one that nothing else would be added to
+    with pytest.raises(CarrierMismatch):
+        alg_from_terms(f2, b, [(b.identity, f3.one)])
+    with pytest.raises(CarrierMismatch):
+        alg_from_terms(f2, b, [(b.identity, f2.one), (b.elem((0, 1)), f3.one)])
+    with pytest.raises(CarrierMismatch):
+        alg_one(f2, b).scale(f3.one)
 
 
 def test_literal_parsing_cases():
@@ -180,8 +192,8 @@ def test_matrix_identity_and_product():
     f2 = field_make(2)
     A = mat_from_entries(f2, b, [[lit("p", b, f2)]])
     B = mat_from_entries(f2, b, [[lit("q", b, f2)]])
-    assert (A * B).is_identity()
-    assert not (B * A).is_identity()
+    assert A * B == mat_identity(f2, b, 1)
+    assert B * A != mat_identity(f2, b, 1)
     assert (B * A).entries[0][0] == lit("q^1p^1", b, f2)
     I = mat_identity(f2, b, 1)
     assert A * I == A and I * A == A
@@ -256,3 +268,135 @@ def test_matrix_file_errors_name_file_lines():
     with pytest.raises(ParseError) as ei:
         parse_matrix_text("# header\n0\n", c2, f2)
     assert ei.value.line == 2
+
+
+# The Scalar-level loops that AlgElem.__add__, scale, __mul__,
+# alg_from_terms and AlgMatrix.__mul__ used before they shared one raw-value
+# accumulator; they are the oracles for it.
+
+def _oracle_accumulate(out, m, c):
+    acc = out.get(m)
+    s = c if acc is None else acc + c
+    if s.is_zero():
+        out.pop(m, None)
+    else:
+        out[m] = s
+
+
+def oracle_from_terms(field, monoid, pairs):
+    out = {}
+    for m, c in pairs:
+        _oracle_accumulate(out, m, c)
+    return AlgElem(field, monoid, out)
+
+
+def oracle_add(x, y):
+    out = dict(x.terms)
+    for m, c in y.terms.items():
+        _oracle_accumulate(out, m, c)
+    return AlgElem(x.field, x.monoid, out)
+
+
+def oracle_scale(x, scalar):
+    if scalar.is_zero():
+        return AlgElem(x.field, x.monoid, {})
+    out = {}
+    for m, c in x.terms.items():
+        s = scalar * c
+        if not s.is_zero():
+            out[m] = s
+    return AlgElem(x.field, x.monoid, out)
+
+
+def oracle_mul(x, y):
+    out = {}
+    for m1, c1 in x.terms.items():
+        for m2, c2 in y.terms.items():
+            _oracle_accumulate(out, m1 * m2, c1 * c2)
+    return AlgElem(x.field, x.monoid, out)
+
+
+def oracle_mat_mul(a, b):
+    d = a.d
+    out = []
+    for i in range(d):
+        row = []
+        for j in range(d):
+            acc = alg_zero(a.field, a.monoid)
+            for k in range(d):
+                acc = oracle_add(acc, oracle_mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        out.append(row)
+    return mat_from_entries(a.field, a.monoid, out)
+
+
+def _same_elem(got, want):
+    # equal as dicts and in print; every coefficient a nonzero scalar of
+    # the field (dict order may differ)
+    assert got == want and str(got) == str(want)
+    assert got.support() == want.support()
+    assert all(c.field is got.field and not c.is_zero() for c in got.terms.values())
+
+
+@pytest.mark.parametrize("monoid", MONOIDS, ids=lambda m: m.spec_string())
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name())
+def test_collect_matches_scalar_oracles(monoid, field):
+    rng = random.Random(41)
+    pool = _pool(monoid)
+    for _ in range(40):
+        # a short pool makes repeated elements and cancellations common
+        pairs = [(rng.choice(pool[:3]), _random_coeff(field, rng))
+                 for _ in range(rng.randrange(7))]
+        _same_elem(alg_from_terms(field, monoid, pairs),
+                   oracle_from_terms(field, monoid, pairs))
+        x = _random_elem(monoid, field, pool, rng)
+        y = _random_elem(monoid, field, pool, rng)
+        c = _random_coeff(field, rng)
+        _same_elem(x + y, oracle_add(x, y))
+        _same_elem(x + x.scale(-field.one), oracle_add(x, oracle_scale(x, -field.one)))
+        _same_elem(x.scale(c), oracle_scale(x, c))
+        _same_elem(x * y, oracle_mul(x, y))
+    for d in (1, 2, 3):
+        for _ in range(8):
+            a = mat_from_entries(field, monoid, [
+                [_random_elem(monoid, field, pool, rng) for _ in range(d)]
+                for _ in range(d)])
+            b = mat_from_entries(field, monoid, [
+                [_random_elem(monoid, field, pool, rng) for _ in range(d)]
+                for _ in range(d)])
+            got, want = a * b, oracle_mat_mul(a, b)
+            assert got == want and str(got) == str(want)
+            assert got.support() == want.support()
+            for row_g, row_w in zip(got.entries, want.entries):
+                for eg, ew in zip(row_g, row_w):
+                    _same_elem(eg, ew)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name())
+def test_collect_cancels_then_reappears(field):
+    # a term that sums to zero part way and then comes back must survive
+    # with the right coefficient, in sums, products and matrix products
+    b = bicyclic()
+    m, n = b.elem((0, 1)), b.elem((1, 0))
+    one = field.one
+    pairs = [(m, one), (n, one), (m, -one), (m, one + one)]
+    got = alg_from_terms(field, b, pairs)
+    _same_elem(got, oracle_from_terms(field, b, pairs))
+    assert got.coeff(m) == one + one
+    x = alg_from_terms(field, b, [(m, one), (n, one)])
+    y = alg_from_terms(field, b, [(m, -one)])
+    _same_elem(x + y, oracle_add(x, y))
+    _same_elem((x + y) + x, oracle_add(oracle_add(x, y), x))
+    # (p - q)(p + q) = p^2 + 1 - qp - q^2 over bicyclic
+    u = alg_from_terms(field, b, [(m, one), (n, -one)])
+    v = alg_from_terms(field, b, [(m, one), (n, one)])
+    _same_elem(u * v, oracle_mul(u, v))
+    # entry (0, 0) of A*B is e - e + e over k = 0, 1, 2
+    e = alg_basis(field, b, m)
+    zero = alg_zero(field, b)
+    a = mat_from_entries(field, b, [[e, e, e], [zero] * 3, [zero] * 3])
+    col = [alg_one(field, b), alg_one(field, b).scale(-one), alg_one(field, b)]
+    bm = mat_from_entries(field, b, [[c, zero, zero] for c in col])
+    got = a * bm
+    assert got == oracle_mat_mul(a, bm)
+    assert got.entries[0][0] == e

@@ -355,16 +355,21 @@ def test_direct_finiteness_recheck_can_fail(monkeypatch):
     # the swap (table 0101); the pairs built from that map must fail the
     # re-check by composition
     import moca.ca as ca
-    real = ca._rule_maps
+    real = ca._bijections
     swap = full_map(CARule(cyclic(2), A2, cyclic(2).elements(), (0, 1, 0, 1)))
 
     def corrupt(*args):
-        memory, maps = real(*args)
-        return memory, ((t, swap if t == (0, 0, 1, 1) else f) for t, f in maps)
+        memory, total, bijections = real(*args)
+        moved = {}
+        for fmap, group in bijections.items():
+            for index, t in group:
+                moved.setdefault(swap if t == (0, 0, 1, 1) else fmap,
+                                 []).append((index, t))
+        return memory, total, {f: sorted(g) for f, g in moved.items()}
 
     m = cyclic(2)
     assert direct_finiteness_scan(m, A2).ok
-    monkeypatch.setattr(ca, "_rule_maps", corrupt)
+    monkeypatch.setattr(ca, "_bijections", corrupt)
     rep = direct_finiteness_scan(m, A2)
     assert not rep.ok
     sigma, tau = rep.witness

@@ -351,12 +351,21 @@ def test_parallel_solve_deterministic():
 
 
 def test_subprocess_entry_point():
+    # the child finds the package the tests import, with or without PYTHONPATH
+    src = os.path.dirname(os.path.dirname(moca.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "moca.cli", "mul", "--monoid", "bicyclic",
          "p^2", "q"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0
     assert proc.stdout == "p^1\n"
+
+
+def test_negative_trial_count_exits_two():
+    rc, out, err = run_cli(["lca-check-antihom", "--monoid", "cyclic:2",
+                            "--field", "2", "--dim", "1", "--count", "-3"])
+    assert (rc, out) == (2, "")
+    assert err == "error: trial count must be >= 0, got -3\n"
 
 
 def test_usage_errors_exit_two():
