@@ -10,11 +10,18 @@ directly.
 Applying a rule: tau(c)(m) = table[ local pattern s -> c(s*m) ].  Composing
 two rules gives memory product_set(S_inner, S_outer) and the local map that
 first evaluates the inner rule at every outer memory site.
+
+A global map is one packed int, sum_li table[li] * W[li]: lane c of W[li]
+holds the weight local index li adds to c's image index (see _plan).  Plans
+live in a small bounded cache.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
+from array import array
 from dataclasses import dataclass
 
 from .errors import (CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError,
@@ -110,9 +117,7 @@ def ca_apply(rule, pattern, window):
                if x not in pattern.values]
     if missing:
         raise DomainError(canonical_sorted(missing), "rule needs undefined sites")
-    vals = {}
-    for m in window:
-        vals[m] = rule.local([pattern.values[s * m] for s in rule.memory])
+    vals = {m: rule.local([pattern.values[s * m] for s in rule.memory]) for m in window}
     return Pattern(rule.monoid, "symbol", vals, alphabet=rule.alphabet)
 
 
@@ -125,14 +130,11 @@ def compose_rules(outer, inner, config_budget=DEFAULT_CONFIG_BUDGET):
     a = outer.alphabet.size
     mem = product_set(inner.memory, outer.memory) if inner.memory and outer.memory else ()
     size = _check_space(a, len(mem), config_budget, "composite rule table")
-    pos = {e: i for i, e in enumerate(mem)}
-    table = []
-    for idx in range(size):
-        digits = decode_digits(idx, a, len(mem))
-        inner_out = [inner.local([digits[pos[s * t]] for s in inner.memory])
-                     for t in outer.memory]
-        table.append(outer.local(inner_out))
-    return CARule(outer.monoid, outer.alphabet, mem, tuple(table))
+    # lane idx of the packed map: the outer local index of composite pattern idx
+    width, weights = _plan(a, inner.memory, outer.memory, mem)
+    outer_idx = _lanes(sum(map(operator.mul, inner.table, weights)), size, width)
+    return CARule(outer.monoid, outer.alphabet, mem,
+                  tuple(outer.table[i] for i in outer_idx))
 
 
 def minimal_memory(rule):
@@ -144,49 +146,37 @@ def minimal_memory(rule):
     """
     a = rule.alphabet.size
     k = len(rule.memory)
-    keep = []
-    for pos in range(k):
+
+    def reads(pos):
         stride = a ** (k - 1 - pos)
-        dependent = False
-        for idx in range(len(rule.table)):
-            if (idx // stride) % a != 0:
-                continue
-            base = rule.table[idx]
-            if any(rule.table[idx + v * stride] != base for v in range(1, a)):
-                dependent = True
-                break
-        if dependent:
-            keep.append(pos)
+        return any(rule.table[idx + v * stride] != rule.table[idx]
+                   for idx in range(len(rule.table)) if idx // stride % a == 0
+                   for v in range(1, a))
+
+    keep = [pos for pos in range(k) if reads(pos)]
     mem = tuple(rule.memory[i] for i in keep)
     table = []
     for idx in range(a ** len(mem)):
-        digits = decode_digits(idx, a, len(mem))
         full = [0] * k
-        for j, posn in enumerate(keep):
-            full[posn] = digits[j]
+        for posn, d in zip(keep, decode_digits(idx, a, len(mem))):
+            full[posn] = d
         table.append(rule.local(full))
     return mem, CARule(rule.monoid, rule.alphabet, mem, tuple(table))
 
 
-def _finite_elements(monoid):
-    if not monoid.is_finite():
-        raise NotFinite(f"{monoid.spec_string()} is infinite")
-    return monoid.elements()
-
-
 def _config_elements(monoid, alphabet, config_budget):
-    """(elements, configuration count) of a finite monoid; the budget is
-    checked from the order, before the element list is built."""
+    """(element tuple, configuration count) of a finite monoid; the budget
+    is checked from the order, before the element list is built."""
     if not monoid.is_finite():
         raise NotFinite(f"{monoid.spec_string()} is infinite")
     total = _check_space(alphabet.size, monoid.order, config_budget,
                          "configuration space")
-    return monoid.elements(), total
+    return tuple(monoid.elements()), total
 
 
 def encode_config(pattern):
     """Index of a fully defined symbol pattern over a finite monoid."""
-    els = _finite_elements(pattern.monoid)
+    els = pattern.monoid.elements()
     a = pattern.alphabet.size
     idx = 0
     for e in els:
@@ -195,50 +185,53 @@ def encode_config(pattern):
 
 
 def decode_config(monoid, alphabet, idx):
-    els = _finite_elements(monoid)
+    els = monoid.elements()
     digits = decode_digits(idx, alphabet.size, len(els))
     return Pattern(monoid, "symbol", dict(zip(els, digits)), alphabet=alphabet)
 
 
-def _local_index_grid(monoid, alphabet, memory, config_budget):
-    """loc[cfg][t] = rule-table index seen at site t of configuration cfg."""
-    els, total = _config_elements(monoid, alphabet, config_budget)
-    a = alphabet.size
-    n = len(els)
-    pos = {e: i for i, e in enumerate(els)}
-    site_rows = [[pos[s * m] for s in memory] for m in els]
-    grid = []
-    for cfg in range(total):
-        digits = decode_digits(cfg, a, n)
-        row = []
-        for t in range(n):
+def _pack(values, width):
+    """The int whose little-endian lane i of `width` bytes holds values[i]."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+def _lanes(packed, count, width):
+    """The `count` lanes of a packed int, as a tuple of ints."""
+    buf = packed.to_bytes(count * width, "little")
+    if width == 1:
+        return tuple(buf)
+    return tuple(int.from_bytes(buf[i:i + width], "little")
+                 for i in range(0, len(buf), width))
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(a, memory, sites, cells):
+    """(lane width, W) for reading `memory` at each of `sites`: lane c of
+    W[li] sums a^(len(sites)-1-t) over the sites t where digit vector c over
+    `cells` reads local index li from the cells s*t, s in memory.  The
+    caller checks the budget for a^len(cells) first."""
+    pos = {e: i for i, e in enumerate(cells)}
+    rows = [[pos[s * t] for s in memory] for t in sites]
+    count = a ** len(cells)
+    lanes = [array("Q", [0]) * count for _ in range(a ** len(memory))]
+    for c in range(count):
+        digits = decode_digits(c, a, len(cells))
+        weight = a ** len(rows)
+        for row in rows:
+            weight //= a
             li = 0
-            for src in site_rows[t]:
+            for src in row:
                 li = li * a + digits[src]
-            row.append(li)
-        grid.append(row)
-    return grid
-
-
-def _global_maps(monoid, alphabet, memory, tables, config_budget):
-    """Stream (table, global map) for each table in order, from one grid; a
-    global map is the tuple of image indices of all configurations."""
-    grid = _local_index_grid(monoid, alphabet, memory, config_budget)
-    a = alphabet.size
-    for table in tables:
-        out = []
-        for row in grid:
-            idx = 0
-            for li in row:
-                idx = idx * a + table[li]
-            out.append(idx)
-        yield table, tuple(out)
+            lanes[li][c] += weight
+    width = next(w for w in (1, 2, 4, 8) if a ** len(rows) <= 1 << 8 * w)
+    return width, tuple(_pack(lane, width) for lane in lanes)
 
 
 def full_map(rule, config_budget=DEFAULT_CONFIG_BUDGET):
     """The induced map on configuration indices, as a tuple; finite only."""
-    return next(_global_maps(rule.monoid, rule.alphabet, rule.memory,
-                             (rule.table,), config_budget))[1]
+    els, total = _config_elements(rule.monoid, rule.alphabet, config_budget)
+    width, weights = _plan(rule.alphabet.size, rule.memory, els, els)
+    return _lanes(sum(map(operator.mul, rule.table, weights)), total, width)
 
 
 @dataclass(frozen=True)
@@ -260,12 +253,12 @@ class SurjectivityVerdict:
 
 
 def _injectivity_of_map(rule, fmap):
+    if len(set(fmap)) == len(fmap):
+        return InjectivityVerdict(True, None)
     groups = {}
     for i, out in enumerate(fmap):
         groups.setdefault(out, []).append(i)
     colliding = [g for g in groups.values() if len(g) > 1]
-    if not colliding:
-        return InjectivityVerdict(True, None)
     c1, c2 = min(colliding, key=lambda g: g[0])[:2]
     return InjectivityVerdict(False, (
         decode_config(rule.monoid, rule.alphabet, c1),
@@ -300,7 +293,7 @@ def left_inverse(rule, config_budget=DEFAULT_CONFIG_BUDGET):
         raise ValidationError("rule is not injective", witness=inj.witness)
     a = rule.alphabet.size
     top = a ** (len(els) - 1)  # stride of the identity site, listed first
-    return CARule(rule.monoid, rule.alphabet, tuple(els),
+    return CARule(rule.monoid, rule.alphabet, els,
                   tuple(pre // top % a for pre in _inverse_map(fmap)))
 
 
@@ -333,26 +326,57 @@ class ScanReport:
     extra: dict
 
 
+_HALF_TABLE_BYTES = 1 << 24  # lane bytes of the low-half sums held at once
+
+
+def _digit_sums(weights, a):
+    """sum_j d_j * weights[j] for each digit tuple d, in lexicographic order."""
+    for digits in itertools.product(range(a), repeat=len(weights)):
+        yield sum(map(operator.mul, digits, weights))
+
+
+def _low_digits(a, length, nbytes):
+    """Trailing table digits of the held half: half of them, or fewer if
+    a^low packed maps of nbytes would pass _HALF_TABLE_BYTES."""
+    low = (length + 1) // 2
+    while low and a ** low * nbytes > _HALF_TABLE_BYTES:
+        low -= 1
+    return low
+
+
 def _bijections(monoid, alphabet, memory, rule_budget, config_budget):
     """(memory, rule count, bijections) over all rules on the memory set,
-    where bijections maps each bijective global map to [(table index,
-    table), ...] in table order.
+    where bijections maps each bijective global map to its (table index,
+    table), in table order (distinct tables differ at the identity site,
+    so their maps differ).
 
-    A global map sends a finite configuration set to itself, so it is
-    injective iff it is surjective iff it is a bijection: one image count
-    per rule decides all three.  Both budgets are checked before any grid
-    or table exists, configuration space first so that the rule count
-    a^(a^|S|) is cheap to compute."""
-    els, _ = _config_elements(monoid, alphabet, config_budget)
-    memory = tuple(els) if memory is None else tuple(memory)
-    tables = all_rule_tables(alphabet.size, len(memory), rule_budget)
-    total = 0
+    On a finite configuration set injective = surjective = bijective.
+    Tables run in lexicographic order as a meet in the middle: a rule's
+    packed map is a sum over its leading digits plus one of the held sums
+    over its trailing digits, and one set of its lanes, in C, decides it
+    (byte order cannot change a set's size).  Only bijections are decoded.
+    Both budgets are checked before any plan or sum exists, configuration
+    space first so that the rule count a^(a^|S|) is cheap to compute."""
+    els, configs = _config_elements(monoid, alphabet, config_budget)
+    memory = els if memory is None else tuple(memory)
+    a = alphabet.size
+    length = a ** len(memory)
+    count = _check_space(a, length, rule_budget, "rule space")
+    if len(set(memory)) != len(memory):
+        raise ValidationError("memory set has repeated canonical forms", witness=memory)
+    width, weights = _plan(a, memory, els, els)
+    nbytes, code = configs * width, {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
+    high = length - _low_digits(a, length, nbytes)
+    low_sums = list(_digit_sums(weights[high:], a))
     bijections = {}
-    for table, fmap in _global_maps(monoid, alphabet, memory, tables, config_budget):
-        if len(set(fmap)) == len(fmap):
-            bijections.setdefault(fmap, []).append((total, table))
-        total += 1
-    return memory, total, bijections
+    for hi, high_sum in enumerate(_digit_sums(weights[:high], a)):
+        for lo, low_sum in enumerate(low_sums):
+            packed = high_sum + low_sum
+            if len(set(memoryview(packed.to_bytes(nbytes, "little")).cast(code))) == configs:
+                index = hi * len(low_sums) + lo
+                bijections[_lanes(packed, configs, width)] = (
+                    index, tuple(decode_digits(index, a, length)))
+    return memory, count, bijections
 
 
 def surjunctivity_scan(monoid, alphabet, memory=None,
@@ -363,10 +387,9 @@ def surjunctivity_scan(monoid, alphabet, memory=None,
     _bijections)."""
     memory, total, bijections = _bijections(monoid, alphabet, memory,
                                             rule_budget, config_budget)
-    injective = sorted(itertools.chain.from_iterable(bijections.values()))
-    return ScanReport(total, len(injective), len(injective), True, None,
+    return ScanReport(total, len(bijections), len(bijections), True, None,
                       {"memory": memory,
-                       "injective_tables": [table for _, table in injective]})
+                       "injective_tables": [t for _, t in bijections.values()]})
 
 
 def direct_finiteness_scan(monoid, alphabet, memory=None,
@@ -379,32 +402,28 @@ def direct_finiteness_scan(monoid, alphabet, memory=None,
 
     The configuration space is finite, so sigma(tau(c)) = c for all c makes
     tau injective, hence bijective, and then sigma = tau^-1 is bijective as
-    well.  The scan therefore keeps only the bijective global maps, grouped
-    by map with their table indices, inverts each one and pairs it with the
-    rules whose map is that inverse: work linear in the rule count instead
-    of quadratic, with the same counts.  Every pair found is re-checked
-    apart from the maps that found it: both composites of its rules,
-    built by compose_rules, must induce the identity.
+    well.  So each bijective global map is inverted and paired with the
+    rule whose map is that inverse: work linear in the rule count, with the
+    same counts.  Each pair is re-checked apart from the maps that found
+    it: both composites of its rules, by compose_rules, induce the identity.
     """
     memory, total, bijections = _bijections(monoid, alphabet, memory,
                                             rule_budget, config_budget)
-    one_sided = 0
+    # (sigma entry, tau entry) for each tau whose inverse map has a rule
+    found = [(bijections[inv], entry) for tmap, entry in bijections.items()
+             if (inv := _inverse_map(tmap)) in bijections]
+    identity = tuple(range(alphabet.size ** monoid.order))
     failures = []
-    for tmap, taus in bijections.items():
-        sigmas = bijections.get(_inverse_map(tmap), ())
-        one_sided += len(sigmas) * len(taus)
-        identity = tuple(range(len(tmap)))
-        for (si, sigma), (ti, tau) in itertools.product(sigmas, taus):
-            pair = (CARule(monoid, alphabet, memory, sigma),
-                    CARule(monoid, alphabet, memory, tau))
-            if any(full_map(compose_rules(*rules, config_budget),
-                            config_budget) != identity
-                   for rules in (pair, pair[::-1])):
-                failures.append(((si, ti), pair))
+    for (si, sigma), (ti, tau) in found:
+        pair = (CARule(monoid, alphabet, memory, sigma),
+                CARule(monoid, alphabet, memory, tau))
+        if any(full_map(compose_rules(*rules, config_budget),
+                        config_budget) != identity
+               for rules in (pair, pair[::-1])):
+            failures.append(((si, ti), pair))
     witness = min(failures)[1] if failures else None
-    bijective = sum(map(len, bijections.values()))
-    return ScanReport(total, bijective, bijective, witness is None, witness,
-                      {"pairs": total ** 2, "one_sided_identities": one_sided})
+    return ScanReport(total, len(bijections), len(bijections), witness is None,
+                      witness, {"pairs": total ** 2, "one_sided_identities": len(found)})
 
 
 def parse_rule_text(text, monoid):

@@ -270,11 +270,12 @@ def cmd_lca_check_antihom(args):
     field = parse_field_spec(args.field)
     rep = antihom_suite(monoid, field, args.dim, args.count, seed=args.seed)
     witness = None
-    if rep.first_failure is not None:
-        witness = {"trial": rep.first_failure[0], "law": rep.first_failure[1]}
     lines = [f"trials: {rep.trials}", f"failures: {rep.failures}"]
-    if witness:
-        lines.append(f"first failure: trial {witness['trial']} ({witness['law']})")
+    if rep.first_failure is not None:
+        trial, a, b = rep.first_failure
+        witness = {"trial": trial, "A": serialize_matrix(a), "B": serialize_matrix(b)}
+        lines += [f"first failure: trial {trial}", "A:", *witness["A"].splitlines(),
+                  "B:", *witness["B"].splitlines()]
     _emit(args, "lca-check-antihom",
           {"monoid": monoid.spec_string(), "field": field.name(),
            "dim": args.dim, "count": args.count, "seed": args.seed},

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,9 @@ from moca.ca import (
     surjectivity,
     surjunctivity_scan,
 )
+import moca.ca as ca
 from moca.errors import BudgetExceeded, DomainError, NotFinite, ParseError, ValidationError
+from moca.fields import decode_digits
 from moca.monoids import bicyclic, cyclic, enumerate_monoids, product_set
 from moca.patterns import Pattern, SymbolAlphabet
 
@@ -50,6 +53,82 @@ def oracle_full_map(rule):
             acc = acc * a + d
         out_map.append(acc)
     return tuple(out_map)
+
+
+def oracle_global_maps(monoid, alphabet, memory, tables):
+    """The per-configuration kernel the packed one replaced: stream (table,
+    global map) for each table, from one grid of local indices."""
+    els = monoid.elements()
+    a = alphabet.size
+    n = len(els)
+    pos = {e: i for i, e in enumerate(els)}
+    site_rows = [[pos[s * m] for s in memory] for m in els]
+    grid = []
+    for cfg in range(a ** n):
+        digits = decode_digits(cfg, a, n)
+        row = []
+        for t in range(n):
+            li = 0
+            for src in site_rows[t]:
+                li = li * a + digits[src]
+            row.append(li)
+        grid.append(row)
+    for table in tables:
+        out = []
+        for row in grid:
+            idx = 0
+            for li in row:
+                idx = idx * a + table[li]
+            out.append(idx)
+        yield table, tuple(out)
+
+
+def oracle_inverse(fmap):
+    inv = [0] * len(fmap)
+    for c, out in enumerate(fmap):
+        inv[out] = c
+    return tuple(inv)
+
+
+def oracle_scan_counts(monoid, alphabet, memory=None):
+    """(total, injective tables in table order, one-sided identity pairs)
+    from the old kernel, with bijective maps grouped by map."""
+    memory = tuple(monoid.elements()) if memory is None else tuple(memory)
+    tables = all_rule_tables(alphabet.size, len(memory))
+    groups = {}
+    total = 0
+    for table, fmap in oracle_global_maps(monoid, alphabet, memory, tables):
+        if len(set(fmap)) == len(fmap):
+            groups.setdefault(fmap, []).append((total, table))
+        total += 1
+    injective = [t for _, t in sorted(itertools.chain.from_iterable(groups.values()))]
+    one_sided = sum(len(groups.get(oracle_inverse(f), ())) * len(g)
+                    for f, g in groups.items())
+    return total, injective, one_sided
+
+
+def oracle_left_inverse_table(monoid, alphabet, fmap):
+    a = alphabet.size
+    top = a ** (monoid.order - 1)
+    return tuple(pre // top % a for pre in oracle_inverse(fmap))
+
+
+def assert_scans_match_oracle(monoid, alphabet, memory=None):
+    total, injective, one_sided = oracle_scan_counts(monoid, alphabet, memory)
+    ss = surjunctivity_scan(monoid, alphabet, memory=memory)
+    dfs = direct_finiteness_scan(monoid, alphabet, memory=memory)
+    assert ss.total == dfs.total == total
+    assert ss.extra["injective_tables"] == injective
+    assert ss.injective == ss.surjective == dfs.injective == dfs.surjective == len(injective)
+    assert dfs.extra["one_sided_identities"] == one_sided
+    assert dfs.extra["pairs"] == total ** 2
+    assert dfs.ok and dfs.witness is None
+    mem = ss.extra["memory"]
+    for table, fmap in oracle_global_maps(monoid, alphabet, mem, injective):
+        rule = CARule(monoid, alphabet, mem, table)
+        assert full_map(rule) == fmap
+        assert left_inverse(rule).table == oracle_left_inverse_table(monoid, alphabet, fmap)
+    return total
 
 
 def random_rule(rng, monoid, alphabet, memory):
@@ -98,6 +177,92 @@ def test_full_map_matches_oracle_random():
             assert full_map(r) == oracle_full_map(r)
     r = random_rule(rng, cyclic(3), A3, tuple(cyclic(3).elements()))
     assert full_map(r) == oracle_full_map(r)
+
+
+def test_packed_scans_match_old_kernel_small_tables():
+    # every table monoid of order <= 3 at alphabets 2 and 3, within budget
+    for n in (1, 2, 3):
+        for m in enumerate_monoids(n):
+            assert_scans_match_oracle(m, A2)
+            if n < 3:
+                assert_scans_match_oracle(m, A3)
+            else:
+                with pytest.raises(BudgetExceeded) as exc:
+                    surjunctivity_scan(m, A3)
+                assert str(exc.value) == "rule space of size 3^27 exceeds budget 65536"
+
+
+def test_packed_scans_match_old_kernel_memory_subsets():
+    for m in (cyclic(3), enumerate_monoids(3)[4], enumerate_monoids(3)[9]):
+        els = m.elements()
+        for k in range(len(els)):
+            for mem in itertools.combinations(els, k):
+                assert_scans_match_oracle(m, A2, mem)
+                if k < 2:
+                    assert_scans_match_oracle(m, A3, mem)
+    c4 = cyclic(4)
+    g = c4.parse_element("g")
+    assert_scans_match_oracle(c4, A3, (g, c4.identity))
+
+
+def test_packed_kernel_wide_lanes():
+    # 512 configurations: two bytes per lane
+    m = cyclic(9)
+    g = m.parse_element("g")
+    assert assert_scans_match_oracle(m, A2, (m.identity, g)) == 16
+    assert ca._plan(2, (m.identity, g), *[tuple(m.elements())] * 2)[0] == 2
+    assert_scans_match_oracle(m, A2, (g * g * g, m.identity))
+    rng = random.Random(17)
+    for _ in range(4):
+        r = random_rule(rng, m, A2, tuple(rng.sample(m.elements(), 2)))
+        assert full_map(r) == oracle_full_map(r)
+
+
+def test_scans_reject_repeated_memory():
+    # two copies of a site would let distinct tables share a global map
+    m = cyclic(2)
+    for scan in (surjunctivity_scan, direct_finiteness_scan):
+        with pytest.raises(ValidationError) as exc:
+            scan(m, A2, memory=(m.identity, m.identity))
+        assert str(exc.value) == "memory set has repeated canonical forms"
+
+
+def test_lane_codec_is_little_endian_whatever_the_host(monkeypatch):
+    assert ca._pack([1, 258, 65535], 2) == 1 + (258 << 16) + (65535 << 32)
+    assert ca._lanes(1 + (258 << 16) + (65535 << 32), 3, 2) == (1, 258, 65535)
+    assert ca._lanes(ca._pack([7, 1 << 20, 0], 4), 3, 4) == (7, 1 << 20, 0)
+    assert ca._lanes(ca._pack([3, 0, 255], 1), 3, 1) == (3, 0, 255)
+    # nothing reads the host's byte order
+    other = "big" if sys.byteorder == "little" else "little"
+    monkeypatch.setattr(sys, "byteorder", other)
+    ca._plan.cache_clear()
+    m = cyclic(9)
+    r = CARule(m, A2, (m.identity, m.parse_element("g")), (0, 1, 1, 1))
+    assert full_map(r) == oracle_full_map(r)
+    assert surjunctivity_scan(m, A2, memory=r.memory).injective == 4
+
+
+def test_cached_plans_never_serve_another_key():
+    # interleaved calls over monoids, alphabets and memories; each result
+    # is checked against the dict-backed oracle
+    m3 = enumerate_monoids(3)[4]
+    c9 = cyclic(9)
+    cases = [(cyclic(2), A3, None), (cyclic(3), A2, None), (m3, A2, None),
+             (m3, A3, (m3.elements()[1],)), (cyclic(3), A3, None),
+             (c9, A2, (c9.identity, c9.parse_element("g"))),
+             (cyclic(3), A2, tuple(cyclic(3).elements()[:2])),
+             (enumerate_monoids(2)[1], A2, None)]
+    rng = random.Random(18)
+    for _ in range(6):
+        rng.shuffle(cases)
+        for monoid, alphabet, mem in cases:
+            mem = tuple(monoid.elements()) if mem is None else mem
+            inner = random_rule(rng, monoid, alphabet, mem)
+            outer = random_rule(rng, monoid, alphabet, mem)
+            fi, fo = full_map(inner), oracle_full_map(outer)
+            assert fi == oracle_full_map(inner)
+            comp = compose_rules(outer, inner)
+            assert full_map(comp) == tuple(fo[x] for x in fi)
 
 
 def test_encode_decode_roundtrip():
@@ -351,30 +516,30 @@ def test_direct_finiteness_scan_cyclic2_alphabet3():
 
 
 def test_direct_finiteness_recheck_can_fail(monkeypatch):
-    # over cyclic:2 the identity rule (table 0011) reports the global map of
-    # the swap (table 0101); the pairs built from that map must fail the
-    # re-check by composition
-    import moca.ca as ca
+    # over cyclic:3 the identity rule (table 00001111, index 15) also
+    # reports the global map of the shift c -> c(g*m); the inverse of that
+    # map belongs to the shift by g^2 (table 01010101, index 85), so the
+    # pairs built from the corrupted map must fail the re-check by
+    # composition
     real = ca._bijections
-    swap = full_map(CARule(cyclic(2), A2, cyclic(2).elements(), (0, 1, 0, 1)))
+    m = cyclic(3)
+    els = tuple(m.elements())
+    ident, shift, shift2 = (tuple(decode_digits(i, 2, 3)[k] for i in range(8))
+                            for k in range(3))
 
     def corrupt(*args):
         memory, total, bijections = real(*args)
-        moved = {}
-        for fmap, group in bijections.items():
-            for index, t in group:
-                moved.setdefault(swap if t == (0, 0, 1, 1) else fmap,
-                                 []).append((index, t))
-        return memory, total, {f: sorted(g) for f, g in moved.items()}
+        moved = dict(bijections)
+        moved[full_map(CARule(m, A2, els, shift))] = bijections[tuple(range(8))]
+        return memory, total, moved
 
-    m = cyclic(2)
     assert direct_finiteness_scan(m, A2).ok
     monkeypatch.setattr(ca, "_bijections", corrupt)
     rep = direct_finiteness_scan(m, A2)
     assert not rep.ok
     sigma, tau = rep.witness
-    assert (sigma.table, tau.table) == ((0, 0, 1, 1), (0, 1, 0, 1))
-    assert full_map(compose_rules(sigma, tau)) != tuple(range(4))
+    assert (sigma.table, tau.table) == (ident, shift2)
+    assert full_map(compose_rules(sigma, tau)) != tuple(range(8))
 
 
 def test_direct_finiteness_scan_small_memory():
@@ -405,8 +570,9 @@ def test_scan_budget_guards():
 
 def test_scan_budgets_fire_before_the_grid(monkeypatch):
     def no_grid(*args):
-        raise AssertionError("grid built before a budget check")
-    monkeypatch.setattr("moca.ca._local_index_grid", no_grid)
+        raise AssertionError("plan or packed sums built before a budget check")
+    monkeypatch.setattr("moca.ca._plan", no_grid)
+    monkeypatch.setattr("moca.ca._digit_sums", no_grid)
     for scan in (surjunctivity_scan, direct_finiteness_scan):
         with pytest.raises(BudgetExceeded) as exc:
             scan(cyclic(3), A2, config_budget=4)
@@ -415,6 +581,22 @@ def test_scan_budgets_fire_before_the_grid(monkeypatch):
             scan(cyclic(3), A2, rule_budget=100)
         assert exc.value.required == 2 ** 8
         assert str(exc.value) == "rule space of size 2^8 exceeds budget 100"
+
+
+def test_held_half_sums_are_bounded_in_bytes(monkeypatch):
+    # 2^20 configurations in 4-byte lanes, 2^16 rules over 16 table digits:
+    # half the digits would hold 2^8 maps of 4 MB each
+    nbytes = 4 << 20
+    low = ca._low_digits(2, 16, nbytes)
+    assert 2 ** low * nbytes <= ca._HALF_TABLE_BYTES < 2 ** (low + 1) * nbytes
+    assert ca._low_digits(2, 16, 16) == 8 and ca._low_digits(3, 9, 9) == 5
+    # a smaller bound moves the split, not the result
+    expected = oracle_scan_counts(cyclic(3), A2)
+    monkeypatch.setattr(ca, "_HALF_TABLE_BYTES", 64)
+    assert ca._low_digits(2, 8, 8) == 3
+    rep = surjunctivity_scan(cyclic(3), A2)
+    assert (rep.total, rep.extra["injective_tables"]) == expected[:2]
+    assert direct_finiteness_scan(cyclic(3), A2).extra["one_sided_identities"] == expected[2]
 
 
 def test_config_budget_fires_before_the_element_list(monkeypatch):

@@ -368,6 +368,39 @@ def test_negative_trial_count_exits_two():
     assert err == "error: trial count must be >= 0, got -3\n"
 
 
+def test_antihom_failure_reports_its_matrices(monkeypatch):
+    # a suite that fails once: exit 1 with the trial and both matrices as
+    # serialized strings, in text and in valid JSON, and no traceback
+    import random
+
+    import moca.cli as cli
+    from moca.algebra import serialize_matrix
+    from moca.randomized import SuiteReport, element_pool, random_matrix
+
+    drawn = {}
+
+    def fail_once(monoid, field, d, count, seed):
+        rng = random.Random(seed)
+        pool = element_pool(monoid)
+        drawn["A"] = random_matrix(rng, monoid, field, d, pool)
+        drawn["B"] = random_matrix(rng, monoid, field, d, pool)
+        return SuiteReport("antihom", count, 1, (1, drawn["A"], drawn["B"]))
+
+    monkeypatch.setattr(cli, "antihom_suite", fail_once)
+    argv = ["lca-check-antihom", "--monoid", "cyclic:3", "--field", "3",
+            "--dim", "2", "--count", "3", "--seed", "5"]
+    rc, out, err = run_cli(argv)
+    a, b = serialize_matrix(drawn["A"]), serialize_matrix(drawn["B"])
+    assert (rc, err) == (1, "")
+    assert out == ("trials: 3\nfailures: 1\nfirst failure: trial 1\n"
+                   f"A:\n{a}B:\n{b}")
+    rc, out, err = run_cli(argv + ["--format", "json"])
+    assert (rc, err) == (1, "")
+    doc = json.loads(out)
+    assert doc["verdict"] == "failed"
+    assert doc["witness"] == {"trial": 1, "A": a, "B": b}
+
+
 def test_usage_errors_exit_two():
     rc, _, err = run_cli(["mul", "--monoid", "cyclic:2", "g", "h"])
     assert rc == 2 and "unknown element" in err

@@ -1,10 +1,12 @@
-"""Golden CLI output over the extension fields.
+"""Golden CLI output over the extension fields and of the CA scans.
 
-Each case runs `moca` in process and compares its exit code and stdout with
-the text pinned in cli_golden.txt.  The cases print extension-field literals
-(parsed, multiplied and printed through ranks), sentence models and their
-witness indices, so a change of representation or of arithmetic shows up as
-a diff here.  After a deliberate change of output, regenerate the file with
+Each case runs `moca` in process, from this directory, and compares its exit
+code and stdout with the text pinned in cli_golden.txt.  The cases print
+extension-field literals (parsed, multiplied and printed through ranks),
+sentence models and their witness indices, and the counts of exhaustive CA
+scans (the order-2 tables are files under tables/), so a change of
+representation, of arithmetic or of the scan kernel shows up as a diff
+here.  After a deliberate change of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/cli_golden.txt
 
@@ -37,12 +39,19 @@ CASES = (
         "--count", "10", "--seed", "7", "--format", "json"]
        for m, f in (("bicyclic", "2^2"), ("cyclic:3", "3^2"))]
     + [["finiteness", "bicyclic-witness", "--field", "3^3"]]
+    + [["ca-scan-surjunctivity", "--monoid", m, "--alphabet", a] + mem + fmt
+       for m, a, mem in (("table:tables/group2.tbl", "3", []),
+                         ("table:tables/semilattice2.tbl", "3", []),
+                         ("cyclic:4", "2", []),
+                         ("cyclic:3", "2", ["--memory", "1,g"]))
+       for fmt in ([], ["--format", "json"])]
 )
 
 
 def run(argv):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.chdir(os.path.dirname(os.path.abspath(__file__))), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         rc = main(argv)
     return rc, out.getvalue()
 
