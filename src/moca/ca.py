@@ -11,16 +11,15 @@ Applying a rule: tau(c)(m) = table[ local pattern s -> c(s*m) ].  Composing
 two rules gives memory product_set(S_inner, S_outer) and the local map that
 first evaluates the inner rule at every outer memory site.
 
-A global map is one packed int, sum_li table[li] * W[li]: lane c of W[li]
-holds the weight local index li adds to c's image index (see _plan).  Plans
-live in a small bounded cache.
+Global maps read cached plans of local-index columns (_plan); the scans
+add packed lane weights instead (_bijections).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
+import struct
 from array import array
 from dataclasses import dataclass
 
@@ -117,7 +116,9 @@ def ca_apply(rule, pattern, window):
                if x not in pattern.values]
     if missing:
         raise DomainError(canonical_sorted(missing), "rule needs undefined sites")
-    vals = {m: rule.local([pattern.values[s * m] for s in rule.memory]) for m in window}
+    vals = {}
+    for m in window:
+        vals[m] = rule.local([pattern.values[s * m] for s in rule.memory])
     return Pattern(rule.monoid, "symbol", vals, alphabet=rule.alphabet)
 
 
@@ -130,11 +131,9 @@ def compose_rules(outer, inner, config_budget=DEFAULT_CONFIG_BUDGET):
     a = outer.alphabet.size
     mem = product_set(inner.memory, outer.memory) if inner.memory and outer.memory else ()
     size = _check_space(a, len(mem), config_budget, "composite rule table")
-    # lane idx of the packed map: the outer local index of composite pattern idx
-    width, weights = _plan(a, inner.memory, outer.memory, mem)
-    outer_idx = _lanes(sum(map(operator.mul, inner.table, weights)), size, width)
-    return CARule(outer.monoid, outer.alphabet, mem,
-                  tuple(outer.table[i] for i in outer_idx))
+    # outer's local index at each composite pattern, then its output there
+    outs = _image(_plan(a, inner.memory, outer.memory, mem), inner.table, a, size)
+    return CARule(outer.monoid, outer.alphabet, mem, tuple(map(outer.table.__getitem__, outs)))
 
 
 def minimal_memory(rule):
@@ -146,27 +145,39 @@ def minimal_memory(rule):
     """
     a = rule.alphabet.size
     k = len(rule.memory)
-
-    def reads(pos):
+    keep = []
+    for pos in range(k):
         stride = a ** (k - 1 - pos)
-        return any(rule.table[idx + v * stride] != rule.table[idx]
-                   for idx in range(len(rule.table)) if idx // stride % a == 0
-                   for v in range(1, a))
-
-    keep = [pos for pos in range(k) if reads(pos)]
+        dependent = False
+        for idx in range(len(rule.table)):
+            if (idx // stride) % a != 0:
+                continue
+            base = rule.table[idx]
+            if any(rule.table[idx + v * stride] != base for v in range(1, a)):
+                dependent = True
+                break
+        if dependent:
+            keep.append(pos)
     mem = tuple(rule.memory[i] for i in keep)
     table = []
     for idx in range(a ** len(mem)):
+        digits = decode_digits(idx, a, len(mem))
         full = [0] * k
-        for posn, d in zip(keep, decode_digits(idx, a, len(mem))):
-            full[posn] = d
+        for j, posn in enumerate(keep):
+            full[posn] = digits[j]
         table.append(rule.local(full))
     return mem, CARule(rule.monoid, rule.alphabet, mem, tuple(table))
 
 
+def _finite_elements(monoid):
+    if not monoid.is_finite():
+        raise NotFinite(f"{monoid.spec_string()} is infinite")
+    return monoid.elements()
+
+
 def _config_elements(monoid, alphabet, config_budget):
-    """(element tuple, configuration count) of a finite monoid; the budget
-    is checked from the order, before the element list is built."""
+    """(elements, configuration count) of a finite monoid; the budget is
+    checked from the order, before the element list is built."""
     if not monoid.is_finite():
         raise NotFinite(f"{monoid.spec_string()} is infinite")
     total = _check_space(alphabet.size, monoid.order, config_budget,
@@ -176,7 +187,7 @@ def _config_elements(monoid, alphabet, config_budget):
 
 def encode_config(pattern):
     """Index of a fully defined symbol pattern over a finite monoid."""
-    els = pattern.monoid.elements()
+    els = _finite_elements(pattern.monoid)
     a = pattern.alphabet.size
     idx = 0
     for e in els:
@@ -185,53 +196,47 @@ def encode_config(pattern):
 
 
 def decode_config(monoid, alphabet, idx):
-    els = monoid.elements()
+    els = _finite_elements(monoid)
     digits = decode_digits(idx, alphabet.size, len(els))
     return Pattern(monoid, "symbol", dict(zip(els, digits)), alphabet=alphabet)
 
 
-def _pack(values, width):
-    """The int whose little-endian lane i of `width` bytes holds values[i]."""
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+_CACHED_PLAN_BYTES = 1 << 18  # larger plans are built per call, not cached
+_PLANS = {}  # at most 32 cached plans, oldest first (ca-scan reuses 16)
 
 
-def _lanes(packed, count, width):
-    """The `count` lanes of a packed int, as a tuple of ints."""
-    buf = packed.to_bytes(count * width, "little")
-    if width == 1:
-        return tuple(buf)
-    return tuple(int.from_bytes(buf[i:i + width], "little")
-                 for i in range(0, len(buf), width))
-
-
-@functools.lru_cache(maxsize=64)
 def _plan(a, memory, sites, cells):
-    """(lane width, W) for reading `memory` at each of `sites`: lane c of
-    W[li] sums a^(len(sites)-1-t) over the sites t where digit vector c over
-    `cells` reads local index li from the cells s*t, s in memory.  The
-    caller checks the budget for a^len(cells) first."""
-    pos = {e: i for i, e in enumerate(cells)}
-    rows = [[pos[s * t] for s in memory] for t in sites]
-    count = a ** len(cells)
-    lanes = [array("Q", [0]) * count for _ in range(a ** len(memory))]
-    for c in range(count):
-        digits = decode_digits(c, a, len(cells))
-        weight = a ** len(rows)
-        for row in rows:
-            weight //= a
-            li = 0
-            for src in row:
-                li = li * a + digits[src]
-            lanes[li][c] += weight
-    width = next(w for w in (1, 2, 4, 8) if a ** len(rows) <= 1 << 8 * w)
-    return width, tuple(_pack(lane, width) for lane in lanes)
+    """columns[t][c] = local index digit vector c over `cells` shows at site t
+    (memory s read at cell s*t); cached if small; a^len(cells) is checked."""
+    key, n = (a, memory, sites, cells), len(cells)
+    columns = _PLANS.get(key)
+    if columns is None:
+        # digits[e][c] = digit of c at cell e, the first cell most significant
+        digits = {e: array("B" if a <= 256 else "L",
+                           [d for d in range(a) for _ in range(a ** (n - 1 - i))]) * a ** i
+                  for i, e in enumerate(cells)}
+        columns = [array("L", _image([digits[s * t] for s in memory], tuple(range(a)), a, a ** n))
+                   for t in sites]
+        if len(sites) * a ** n * 8 <= _CACHED_PLAN_BYTES:
+            _PLANS[key] = columns
+            if len(_PLANS) > 32:
+                _PLANS.pop(next(iter(_PLANS)), None)
+    return columns
+
+
+def _image(columns, table, a, count):
+    """Entry c of a table's image: sum_t table[columns[t][c]] * a^(len(columns)-1-t)."""
+    out = (0,) * count
+    for col in columns:
+        out = [o * a + table[li] for o, li in zip(out, col)]
+    return tuple(out)
 
 
 def full_map(rule, config_budget=DEFAULT_CONFIG_BUDGET):
     """The induced map on configuration indices, as a tuple; finite only."""
     els, total = _config_elements(rule.monoid, rule.alphabet, config_budget)
-    width, weights = _plan(rule.alphabet.size, rule.memory, els, els)
-    return _lanes(sum(map(operator.mul, rule.table, weights)), total, width)
+    a = rule.alphabet.size
+    return _image(_plan(a, rule.memory, els, els), rule.table, a, total)
 
 
 @dataclass(frozen=True)
@@ -336,8 +341,7 @@ def _digit_sums(weights, a):
 
 
 def _low_digits(a, length, nbytes):
-    """Trailing table digits of the held half: half of them, or fewer if
-    a^low packed maps of nbytes would pass _HALF_TABLE_BYTES."""
+    """Held trailing digits: half, or fewer if a^low maps pass the bound."""
     low = (length + 1) // 2
     while low and a ** low * nbytes > _HALF_TABLE_BYTES:
         low -= 1
@@ -347,35 +351,35 @@ def _low_digits(a, length, nbytes):
 def _bijections(monoid, alphabet, memory, rule_budget, config_budget):
     """(memory, rule count, bijections) over all rules on the memory set,
     where bijections maps each bijective global map to its (table index,
-    table), in table order (distinct tables differ at the identity site,
-    so their maps differ).
+    table), in table order; distinct tables differ at the identity site.
 
-    On a finite configuration set injective = surjective = bijective.
-    Tables run in lexicographic order as a meet in the middle: a rule's
-    packed map is a sum over its leading digits plus one of the held sums
-    over its trailing digits, and one set of its lanes, in C, decides it
-    (byte order cannot change a set's size).  Only bijections are decoded.
-    Both budgets are checked before any plan or sum exists, configuration
-    space first so that the rule count a^(a^|S|) is cheap to compute."""
+    Injective = surjective = bijective here.  A rule's map in packed lanes
+    is sum_li table[li] * W[li], W[li] the packed image of unit table li, so
+    the tables run in lex order as a meet in the middle (leading-digit sum
+    plus held trailing-digit sum), and one set of the lanes, in C, decides
+    each rule.  Both budgets are checked before any plan or sum exists,
+    configuration space first so that a^(a^|S|) is cheap to compute."""
     els, configs = _config_elements(monoid, alphabet, config_budget)
     memory = els if memory is None else tuple(memory)
-    a = alphabet.size
-    length = a ** len(memory)
+    a, length = alphabet.size, alphabet.size ** len(memory)
     count = _check_space(a, length, rule_budget, "rule space")
     if len(set(memory)) != len(memory):
         raise ValidationError("memory set has repeated canonical forms", witness=memory)
-    width, weights = _plan(a, memory, els, els)
-    nbytes, code = configs * width, {1: "B", 2: "H", 4: "I", 8: "Q"}[width]
-    high = length - _low_digits(a, length, nbytes)
+    columns = _plan(a, memory, els, els)
+    code = next(c for c, w in zip("BHIQ", (1, 2, 4, 8)) if configs <= 1 << 8 * w)
+    lanes = struct.Struct(f"<{configs}{code}")  # little-endian on every host
+    units = ((0,) * li + (1,) + (0,) * (length - 1 - li) for li in range(length))
+    weights = [int.from_bytes(lanes.pack(*_image(columns, u, a, configs)), "little")
+               for u in units]
+    high = length - _low_digits(a, length, lanes.size)
     low_sums = list(_digit_sums(weights[high:], a))
     bijections = {}
     for hi, high_sum in enumerate(_digit_sums(weights[:high], a)):
         for lo, low_sum in enumerate(low_sums):
-            packed = high_sum + low_sum
-            if len(set(memoryview(packed.to_bytes(nbytes, "little")).cast(code))) == configs:
+            fmap = lanes.unpack((high_sum + low_sum).to_bytes(lanes.size, "little"))
+            if len(set(fmap)) == configs:
                 index = hi * len(low_sums) + lo
-                bijections[_lanes(packed, configs, width)] = (
-                    index, tuple(decode_digits(index, a, length)))
+                bijections[fmap] = (index, tuple(decode_digits(index, a, length)))
     return memory, count, bijections
 
 

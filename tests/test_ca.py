@@ -1,6 +1,8 @@
 import itertools
 import random
+import struct
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -205,12 +207,20 @@ def test_packed_scans_match_old_kernel_memory_subsets():
     assert_scans_match_oracle(c4, A3, (g, c4.identity))
 
 
-def test_packed_kernel_wide_lanes():
+def record_lane_formats(monkeypatch):
+    """The struct formats the scans pack and unpack their lanes with."""
+    formats, real = [], struct.Struct
+    monkeypatch.setattr(ca.struct, "Struct", lambda fmt: formats.append(fmt) or real(fmt))
+    return formats
+
+
+def test_packed_kernel_wide_lanes(monkeypatch):
     # 512 configurations: two bytes per lane
     m = cyclic(9)
     g = m.parse_element("g")
+    formats = record_lane_formats(monkeypatch)
     assert assert_scans_match_oracle(m, A2, (m.identity, g)) == 16
-    assert ca._plan(2, (m.identity, g), *[tuple(m.elements())] * 2)[0] == 2
+    assert set(formats) == {"<512H"}
     assert_scans_match_oracle(m, A2, (g * g * g, m.identity))
     rng = random.Random(17)
     for _ in range(4):
@@ -228,18 +238,60 @@ def test_scans_reject_repeated_memory():
 
 
 def test_lane_codec_is_little_endian_whatever_the_host(monkeypatch):
-    assert ca._pack([1, 258, 65535], 2) == 1 + (258 << 16) + (65535 << 32)
-    assert ca._lanes(1 + (258 << 16) + (65535 << 32), 3, 2) == (1, 258, 65535)
-    assert ca._lanes(ca._pack([7, 1 << 20, 0], 4), 3, 4) == (7, 1 << 20, 0)
-    assert ca._lanes(ca._pack([3, 0, 255], 1), 3, 1) == (3, 0, 255)
-    # nothing reads the host's byte order
+    # lanes are packed little-endian by format, and nothing reads the
+    # host's byte order
+    formats = record_lane_formats(monkeypatch)
     other = "big" if sys.byteorder == "little" else "little"
     monkeypatch.setattr(sys, "byteorder", other)
-    ca._plan.cache_clear()
+    ca._PLANS.clear()
     m = cyclic(9)
     r = CARule(m, A2, (m.identity, m.parse_element("g")), (0, 1, 1, 1))
     assert full_map(r) == oracle_full_map(r)
     assert surjunctivity_scan(m, A2, memory=r.memory).injective == 4
+    assert formats == ["<512H"]
+    packed = 1 + (258 << 16) + (65535 << 32)
+    assert struct.Struct("<3H").pack(1, 258, 65535) == packed.to_bytes(6, "little")
+
+
+def test_full_memory_rules_on_cyclic12():
+    # a whole-monoid memory on cyclic:12: packed lane weights would hold 2^12
+    # maps of 2^12 lanes (32 MB and more); the plan holds 12 columns
+    m = cyclic(12)
+    els = tuple(m.elements())
+    top = 2 ** (len(els) - 1 - els.index(m.parse_element("g")))
+    rule = CARule(m, A2, els, tuple(1 - li // top % 2 for li in range(2 ** 12)))
+    ca._PLANS.clear()
+    tracemalloc.start()
+    try:
+        fmap = full_map(rule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert fmap == oracle_full_map(rule)
+    sigma = left_inverse(rule)
+    assert full_map(sigma) == oracle_full_map(sigma)
+    comp = compose_rules(sigma, rule)
+    assert full_map(comp) == oracle_full_map(comp) == tuple(range(2 ** 12))
+    assert full_map(compose_rules(rule, sigma)) == tuple(range(2 ** 12))
+
+
+def test_plan_cache_keeps_few_small_plans(monkeypatch):
+    m = cyclic(3)
+    els = tuple(m.elements())
+    monkeypatch.setattr(ca, "_PLANS", {})
+    monkeypatch.setattr(ca, "_CACHED_PLAN_BYTES", 256)
+    small = ca._plan(2, (m.identity,), els, els)  # 3 columns of 8 entries
+    assert ca._PLANS == {(2, (m.identity,), els, els): small}
+    assert ca._plan(2, (m.identity,), els, els) is small
+    ca._plan(3, (m.identity,), els, els)          # 3 columns of 27: not kept
+    rule = CARule(m, A3, els, tuple(i * i % 3 for i in range(27)))
+    assert full_map(rule) == oracle_full_map(rule)
+    assert list(ca._PLANS) == [(2, (m.identity,), els, els)]
+    # past 32 plans the least recently used goes first
+    for a in range(2, 40):
+        ca._plan(a, (), (), ())
+    assert len(ca._PLANS) == 32 and (2, (m.identity,), els, els) not in ca._PLANS
 
 
 def test_cached_plans_never_serve_another_key():
@@ -572,6 +624,7 @@ def test_scan_budgets_fire_before_the_grid(monkeypatch):
     def no_grid(*args):
         raise AssertionError("plan or packed sums built before a budget check")
     monkeypatch.setattr("moca.ca._plan", no_grid)
+    monkeypatch.setattr("moca.ca._image", no_grid)
     monkeypatch.setattr("moca.ca._digit_sums", no_grid)
     for scan in (surjunctivity_scan, direct_finiteness_scan):
         with pytest.raises(BudgetExceeded) as exc:

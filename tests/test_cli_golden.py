@@ -50,9 +50,13 @@ CASES = (
 
 def run(argv):
     out = io.StringIO()
-    with contextlib.chdir(os.path.dirname(os.path.abspath(__file__))), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        rc = main(argv)
+    cwd = os.getcwd()
+    os.chdir(os.path.dirname(os.path.abspath(__file__)))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)
+    finally:
+        os.chdir(cwd)
     return rc, out.getvalue()
 
 
