@@ -1,16 +1,19 @@
-"""Golden CLI output over the extension fields and of the CA scans.
+"""Golden CLI output: K[M] arithmetic over every field kind, and the CA scans.
 
 Each case runs `moca` in process, from this directory, and compares its exit
 code and stdout with the text pinned in cli_golden.txt.  The cases print
-extension-field literals (parsed, multiplied and printed through ranks),
-sentence models and their witness indices, and the counts of exhaustive CA
-scans (the order-2 tables are files under tables/), so a change of
-representation, of arithmetic or of the scan kernel shows up as a diff
+K[M] products, matrix products, convolutions, certificates and recovered
+matrices over GF(p), GF(p^k) and Q; extension-field literals (parsed,
+multiplied and printed through ranks); sentence models, their witness
+indices and decoded matrices; and the counts of exhaustive CA scans.  The
+order-2 tables, matrices and patterns are files under tables/.  So a change
+of representation, of arithmetic or of the scan kernel shows up as a diff
 here.  After a deliberate change of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/cli_golden.txt
 
-and review the diff.
+and review the diff.  The same command piped into `diff - tests/cli_golden.txt`
+checks the output without pytest, on any supported Python.
 """
 
 import contextlib
@@ -20,12 +23,21 @@ import re
 import shlex
 import sys
 
-import pytest
-
 from moca.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "cli_golden.txt")
 DEFAULT_FIELDS = ("2^2", "2^3", "2^4", "2^5", "2^6", "3^2", "3^3", "5^2", "7^2")
+AMUL_LITERALS = {
+    "bicyclic": ("p + 2*q - 3*qp + q^2", "q + p^2 - 1"),
+    "freecomm:2": ("x1 + 2*x2 - x1x2 + 1", "x1 - x2 + 2*x1^2"),
+    "cyclic:3": ("1 + 2*g - g^2", "2*1 + g + g^2"),
+}
+Q_LITERALS = {
+    "bicyclic": ("1/2*p - 2/3*q + 3*1", "q + 3/4*p^2"),
+    "freecomm:2": ("1/2*x1 - 2/3*x1x2^2 + 3*1", "x1 + 3/4*x2"),
+    "cyclic:3": ("1/2*1 - 2/3*g", "3*g + 3/4*g^2"),
+}
+C3 = ["--monoid", "cyclic:3"]
 
 CASES = (
     [["amul", "--monoid", "cyclic:3", "--field", f,
@@ -45,6 +57,32 @@ CASES = (
                          ("cyclic:4", "2", []),
                          ("cyclic:3", "2", ["--memory", "1,g"]))
        for fmt in ([], ["--format", "json"])]
+    + [["amul", "--monoid", m, "--field", f, *AMUL_LITERALS[m]]
+       for m in AMUL_LITERALS for f in ("2", "3", "Q")]
+    + [["amul", "--monoid", m, "--field", "Q", *Q_LITERALS[m]] for m in Q_LITERALS]
+    + [case for f in ("3", "2^2", "Q") for case in (
+        ["mat-mul", *C3, "--field", f,
+         "--matrixA", "tables/c3_a.mat", "--matrixB", "tables/c3_a.mat"],
+        ["mat-mul", *C3, "--field", f,
+         "--matrixA", "tables/c3_a.mat", "--matrixB", "tables/c3_b.mat"],
+        ["conv", *C3, "--field", f, "--pattern", "tables/c3_vec.pat",
+         "--matrix", "tables/c3_a.mat", "--window", "1,g,g^2"],
+        ["conv", *C3, "--field", f, "--pattern", "tables/c3_vec.pat",
+         "--matrix", "tables/c3_b.mat", "--window", "g,g^2", "--format", "json"],
+        ["finiteness", "certify", *C3, "--field", f,
+         "--matrixA", "tables/c3_a.mat", "--matrixB", "tables/c3_b.mat"],
+        ["finiteness", "certify", *C3, "--field", f,
+         "--matrixA", "tables/c3_b.mat", "--matrixB", "tables/c3_a.mat",
+         "--format", "json"],
+        ["finiteness", "certify", *C3, "--field", f,
+         "--matrixA", "tables/c3_a.mat", "--matrixB", "tables/c3_a.mat"])]
+    + [case for f in ("2", "Q") for case in (
+        ["psi-inv", *C3, "--field", f, "--dim", "2", "--support", "1,g,g^2",
+         "--matrix", "tables/c3_a.mat"],
+        ["psi-inv", "--monoid", "bicyclic", "--field", f, "--dim", "1",
+         "--support", "p,q,qp", "--matrix", "tables/bicyclic_a.mat"])]
+    + [["sentence", "solve", "--monoid", "bicyclic", "--support", "p,q",
+        "--dim", "2", "--field", "2"]]
 )
 
 
@@ -80,7 +118,11 @@ def test_golden_file_covers_the_cases():
     assert sorted(load_golden()) == sorted(shlex.join(argv) for argv in CASES)
 
 
-@pytest.mark.parametrize("argv", CASES, ids=shlex.join)
+def pytest_generate_tests(metafunc):
+    if "argv" in metafunc.fixturenames:
+        metafunc.parametrize("argv", CASES, ids=shlex.join)
+
+
 def test_cli_output_matches_golden(argv):
     assert run(argv) == load_golden()[shlex.join(argv)]
 
