@@ -1,17 +1,18 @@
 """Finitely supported elements of the monoid algebra K[M], and square
 matrices over it.
 
-An element is a dict from monoid elements (canonical forms) to nonzero
-scalars.  The product is convolution: coefficients of products of support
-elements multiply and accumulate.  Matrices multiply the usual way with
-entries in K[M]; mat_support is the union of entry supports, which is also
-the minimal memory set of the cellular automaton the matrix induces.
+An element is a dict from monoid elements (canonical forms) to nonzero raw
+field values: the Scalar.v of each coefficient, a rank over GF(q) and a
+Fraction over Q.  The product is convolution: coefficients of products of
+support elements multiply and accumulate.  Matrices multiply the usual way
+with entries in K[M]; mat_support is the union of entry supports, which is
+also the minimal memory set of the cellular automaton the matrix induces.
 
 Every sum and product, of elements and of matrices, goes through one
-accumulator, _collect: it adds raw field values (Scalar.v) of equal monoid
-elements, drops zero sums, and wraps each surviving coefficient in a Scalar
-once.  alg_from_terms is the boundary where Scalars come in, so it checks
-their field.
+accumulator, _collect: it adds the raw values of equal monoid elements and
+drops zero sums.  Scalars exist only at the edges of this layer.  They come
+in through alg_from_terms and scale, which check their field, and go out
+through coeff.
 
 Literal grammar (whitespace-insensitive):
 
@@ -62,38 +63,31 @@ def _check_carriers(a, b):
             f"mixed monoids: {a.monoid.spec_string()} vs {b.monoid.spec_string()}")
 
 
-def _raw(terms):
-    """(element, raw value) for each term of a terms dict."""
-    return ((m, c.v) for m, c in terms.items())
-
-
 def _products(field, left, right):
-    """(m1*m2, raw c1*c2) for every term of `left` times every term of
-    `right`, both terms dicts."""
+    """(m1*m2, c1*c2) for every term of `left` times every term of `right`,
+    both terms dicts."""
     mul = field.mul_v
-    right = [(m2, c2.v) for m2, c2 in right.items()]
-    for m1, c1 in left.items():
-        a = c1.v
+    right = right.items()
+    for m1, a in left.items():
         for m2, b in right:
             yield m1 * m2, mul(a, b)
 
 
 def _collect(field, monoid, pairs):
     """The element sum of (monoid element, raw value) pairs: values of equal
-    elements add with field.add_v, zero sums drop out, and each surviving
-    coefficient is wrapped in a Scalar once."""
+    elements add with field.add_v and zero sums drop out."""
     add = field.add_v
     acc = {}
     for m, v in pairs:
         old = acc.get(m)
         acc[m] = v if old is None else add(old, v)
     zero = field.zero_v
-    return AlgElem(field, monoid,
-                   {m: Scalar(field, v) for m, v in acc.items() if v != zero})
+    return AlgElem(field, monoid, {m: v for m, v in acc.items() if v != zero})
 
 
 class AlgElem:
-    """One element of K[M], finitely supported."""
+    """One element of K[M], finitely supported: `terms` maps each support
+    element to its raw field value, never zero; coeff(m) is the Scalar."""
 
     __slots__ = ("field", "monoid", "terms")
 
@@ -110,19 +104,19 @@ class AlgElem:
         return not self.terms
 
     def coeff(self, m):
-        got = self.terms.get(m)
-        return got if got is not None else self.field.zero
+        return Scalar(self.field, self.terms.get(m, self.field.zero_v))
 
     def __add__(self, other):
         if not isinstance(other, AlgElem):
             return NotImplemented
         _check_carriers(self, other)
         return _collect(self.field, self.monoid,
-                        chain(_raw(self.terms), _raw(other.terms)))
+                        chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self):
+        neg = self.field.neg_v
         return AlgElem(self.field, self.monoid,
-                       {m: -c for m, c in self.terms.items()})
+                       {m: neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, AlgElem):
@@ -135,7 +129,7 @@ class AlgElem:
         _check_field(self.field, scalar)
         mul, a = self.field.mul_v, scalar.v
         return _collect(self.field, self.monoid,
-                        ((m, mul(a, c.v)) for m, c in self.terms.items()))
+                        ((m, mul(a, c)) for m, c in self.terms.items()))
 
     def __mul__(self, other):
         if not isinstance(other, AlgElem):
@@ -155,13 +149,14 @@ class AlgElem:
     def __str__(self):
         if not self.terms:
             return "0"
+        field = self.field
         parts = []
         for m in canonical_sorted(self.terms):
             c = self.terms[m]
-            if c.is_one():
+            if c == field.one_v:
                 parts.append(str(m))
             else:
-                cs = str(c)
+                cs = field.literal_of_v(c)
                 if "+" in cs or "-" in cs:
                     cs = f"({cs})"
                 parts.append(f"{cs}*{m}")
@@ -176,7 +171,7 @@ def alg_zero(field, monoid):
 
 
 def alg_basis(field, monoid, m):
-    return AlgElem(field, monoid, {m: field.one})
+    return AlgElem(field, monoid, {m: field.one_v})
 
 
 def alg_one(field, monoid):

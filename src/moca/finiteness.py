@@ -26,9 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import AlgMatrix, _check_carriers, alg_from_terms, mat_from_entries, mat_identity
+from .algebra import AlgMatrix, _check_carriers, _collect, alg_from_terms, mat_from_entries, mat_identity
 from .errors import CarrierMismatch, NotFinite, ValidationError
-from .fields import Scalar
 from .monoids import bicyclic
 
 __all__ = [
@@ -73,7 +72,7 @@ def flatten(mat):
                 for mp in els:
                     r = idx[s * mp] * d + i
                     c = idx[mp] * d + j
-                    rows[r][c] = field.add_v(rows[r][c], coeff.v)
+                    rows[r][c] = field.add_v(rows[r][c], coeff)
     return FlatMatrix(field, size, tuple(tuple(r) for r in rows))
 
 
@@ -87,9 +86,8 @@ def unflatten(flat, monoid, d):
     for i in range(d):
         row = []
         for j in range(d):
-            pairs = [(s, Scalar(field, flat.rows[si * d + i][j]))
-                     for si, s in enumerate(els)]
-            row.append(alg_from_terms(field, monoid, pairs))
+            row.append(_collect(field, monoid, [
+                (s, flat.rows[si * d + i][j]) for si, s in enumerate(els)]))
         entries.append(row)
     return mat_from_entries(field, monoid, entries)
 

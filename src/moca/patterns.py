@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgMatrix, _check_carriers
 from .errors import CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError, _content_lines
-from .fields import random_scalar
+from .fields import Scalar, random_scalar
 from .monoids import canonical_sorted, product_set
 
 __all__ = [
@@ -222,22 +222,22 @@ def convolve_matrix(c, mat, window):
                           "convolution needs undefined sites")
     field = mat.field
     d = mat.d
-    zero = field.zero
+    add, mul, zero = field.add_v, field.mul_v, field.zero_v
     vals = {}
     for m in window:
         comps = [zero] * d
         for s in supp:
             cv = c.values[s * m]
             for i in range(d):
-                ci = cv[i]
-                if ci.v == field.zero_v:
+                ci = cv[i].v
+                if ci == zero:
                     continue
                 row = mat.entries[i]
                 for j in range(d):
                     co = row[j].terms.get(s)
                     if co is not None:
-                        comps[j] = comps[j] + ci * co
-        vals[m] = tuple(comps)
+                        comps[j] = add(comps[j], mul(ci, co))
+        vals[m] = tuple(Scalar(field, v) for v in comps)
     return Pattern(c.monoid, "vector", vals, field=field, d=d)
 
 

@@ -272,7 +272,16 @@ def test_matrix_file_errors_name_file_lines():
 
 # The Scalar-level loops that AlgElem.__add__, scale, __mul__,
 # alg_from_terms and AlgMatrix.__mul__ used before they shared one raw-value
-# accumulator; they are the oracles for it.
+# accumulator; they are the oracles for it.  They read coefficients through
+# coeff(), add and multiply Scalars, and store the raw values only at the end.
+
+def _scalar_terms(x):
+    return {m: x.coeff(m) for m in x.terms}
+
+
+def _elem(field, monoid, out):
+    """The AlgElem of a {element: nonzero Scalar} dict."""
+    return AlgElem(field, monoid, {m: c.v for m, c in out.items()})
 
 def _oracle_accumulate(out, m, c):
     acc = out.get(m)
@@ -287,33 +296,33 @@ def oracle_from_terms(field, monoid, pairs):
     out = {}
     for m, c in pairs:
         _oracle_accumulate(out, m, c)
-    return AlgElem(field, monoid, out)
+    return _elem(field, monoid, out)
 
 
 def oracle_add(x, y):
-    out = dict(x.terms)
-    for m, c in y.terms.items():
+    out = _scalar_terms(x)
+    for m, c in _scalar_terms(y).items():
         _oracle_accumulate(out, m, c)
-    return AlgElem(x.field, x.monoid, out)
+    return _elem(x.field, x.monoid, out)
 
 
 def oracle_scale(x, scalar):
     if scalar.is_zero():
         return AlgElem(x.field, x.monoid, {})
     out = {}
-    for m, c in x.terms.items():
+    for m, c in _scalar_terms(x).items():
         s = scalar * c
         if not s.is_zero():
             out[m] = s
-    return AlgElem(x.field, x.monoid, out)
+    return _elem(x.field, x.monoid, out)
 
 
 def oracle_mul(x, y):
     out = {}
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
+    for m1, c1 in _scalar_terms(x).items():
+        for m2, c2 in _scalar_terms(y).items():
             _oracle_accumulate(out, m1 * m2, c1 * c2)
-    return AlgElem(x.field, x.monoid, out)
+    return _elem(x.field, x.monoid, out)
 
 
 def oracle_mat_mul(a, b):
@@ -331,11 +340,12 @@ def oracle_mat_mul(a, b):
 
 
 def _same_elem(got, want):
-    # equal as dicts and in print; every coefficient a nonzero scalar of
-    # the field (dict order may differ)
+    # equal as dicts and in print; every coefficient a nonzero raw value of
+    # the field, never a Scalar (dict order may differ)
     assert got == want and str(got) == str(want)
     assert got.support() == want.support()
-    assert all(c.field is got.field and not c.is_zero() for c in got.terms.values())
+    zero = got.field.zero_v
+    assert all(type(v) is type(zero) and v != zero for v in got.terms.values())
 
 
 @pytest.mark.parametrize("monoid", MONOIDS, ids=lambda m: m.spec_string())

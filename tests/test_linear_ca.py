@@ -78,8 +78,8 @@ def replay_oracle(rule, pattern, window):
                     continue
                 row = rule.matrix.entries[i]
                 for j in range(d):
-                    coeff = row[j].terms.get(s)
-                    if coeff is not None:
+                    coeff = row[j].coeff(s)
+                    if not coeff.is_zero():
                         acc[j] = field.add_v(acc[j], field.mul_v(vi, coeff.v))
         out[m] = tuple(Scalar(field, v) for v in acc)
     return out

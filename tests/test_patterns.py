@@ -139,8 +139,8 @@ def scalar_convolution_oracle(c, alpha, window):
     vals = {}
     for m in window:
         acc = field.zero
-        for s, coeff in alpha.terms.items():
-            acc = acc + c.values[s * m][0] * coeff
+        for s in alpha.support():
+            acc = acc + c.values[s * m][0] * alpha.coeff(s)
         vals[m] = (acc,)
     return vector_pattern(c.monoid, field, 1, vals)
 
