@@ -9,6 +9,8 @@ with the field.  So 0 -> 0 and 1 -> 1 always, and the remaining elements sort
 lexicographically by descending-degree coefficients.  Deterministic witness
 selection everywhere else in the package leans on this ordering.  Extension
 fields are bounded at q <= 256, which keeps each table at 65536 entries.
+Irreducibility of the modulus is read from the multiplication table: a
+reducible modulus has a product of two monic factors that is zero there.
 Rationals ride on fractions.Fraction, which keeps every value reduced.  All
 arithmetic is exact; there is no floating point anywhere.
 
@@ -75,31 +77,6 @@ def _check_prime(p):
         raise ValidationError(f"{p} is not prime", witness=p)
 
 
-# polynomial helpers over GF(p); tuples ascending degree, no trailing zeros
-
-
-def _ptrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _pmod(a, b, p):
-    """The remainder of a modulo the nonzero polynomial b."""
-    a, b = list(_ptrim(a)), _ptrim(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = len(b) - 1
-    linv = pow(b[-1], -1, p)
-    for da in range(len(a) - 1, db - 1, -1):
-        c = (a[da] * linv) % p
-        if c:
-            for i in range(db + 1):
-                a[da - db + i] = (a[da - db + i] - c * b[i]) % p
-    return _ptrim(a)
-
-
 def _format_poly(coeffs):
     """Canonical text for a GF(p)[t] polynomial, descending degree."""
     parts = []
@@ -115,26 +92,18 @@ def _format_poly(coeffs):
     return "+".join(parts) if parts else "0"
 
 
-def _irreducibility_witness(modulus, p):
-    """The least monic factor of least degree of `modulus` over GF(p), or
-    None, by trial division; under the order bound that is at most 16
-    candidates per degree."""
-    k = len(modulus) - 1
-    for deg in range(1, k // 2 + 1):
-        for idx in range(p**deg):
-            cand = tuple(decode_digits(idx, p, deg)[::-1]) + (1,)
-            if not _pmod(modulus, cand, p):
-                return cand
-    return None
-
-
 def _extension_tables(p, k, modulus):
-    """(add, mul, neg, inv) of GF(p^k) indexed by rank, inv[0] = 0.
+    """(add, mul, neg, inv) of GF(p^k) indexed by rank, inv[0] = 0; a
+    reducible monic `modulus` raises ValidationError with its least monic
+    factor of least degree.
 
     Write b = c + t*b', with c the constant term (the low base-p digit of
     the rank) and b' the rank shifted down one digit.  Then a + b and -b
     recur digit by digit, and a*b = c*a + t*(a*b') reads entries already
-    filled, so no polynomial is ever multiplied.
+    filled, so no polynomial is ever multiplied.  The same recursion builds
+    the ring GF(p)[t]/(modulus) for any monic modulus, and there a monic g of
+    degree i divides the modulus iff g*h = 0 for some monic h of degree
+    k - i.  The monic polynomials of degree i are the ranks in [p^i, 2p^i).
     """
     q = p**k
     top = q // p
@@ -165,6 +134,15 @@ def _extension_tables(p, k, modulus):
             shifted = add[times_t[row[b]]]
             row += [shifted[v] for v in scaled]
         mul.append(row)
+    for i in range(1, k // 2 + 1):
+        lo, hi = p**i, q // p**i
+        for g in range(lo, 2 * lo):
+            if 0 in mul[g][hi:2 * hi]:
+                factor = tuple(decode_digits(g, p, i + 1)[::-1])
+                raise ValidationError(
+                    f"modulus {_format_poly(modulus)} is reducible over "
+                    f"GF({p}); factor {_format_poly(factor)}",
+                    witness=factor)
     inv = [0] + [row.index(1) for row in mul[1:]]
     return add, mul, neg, inv
 
@@ -356,8 +334,8 @@ class PrimeField(Field):
 
 
 class ExtensionField(Field):
-    """GF(p^k) for a modulus that field_make has checked; every operation
-    is a read of the tables built here."""
+    """GF(p^k) for a monic modulus, whose irreducibility the table build
+    checks; every operation is a read of the tables built here."""
 
     def __init__(self, p, k, modulus):
         self.p = p
@@ -534,16 +512,7 @@ def field_make(p, k=1, modulus=None):
         key = (p, k, modulus)
     field = _FIELDS.get(key)
     if field is None:
-        if k == 1:
-            field = PrimeField(p)
-        else:
-            factor = _irreducibility_witness(modulus, p)
-            if factor is not None:
-                raise ValidationError(
-                    f"modulus {_format_poly(modulus)} is reducible over "
-                    f"GF({p}); factor {_format_poly(factor)}",
-                    witness=factor)
-            field = ExtensionField(p, k, modulus)
+        field = PrimeField(p) if k == 1 else ExtensionField(p, k, modulus)
         _FIELDS[key] = field
     return field
 

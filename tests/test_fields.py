@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from moca.errors import BudgetExceeded, CarrierMismatch, NotFinite, ParseError, ValidationError
 from moca.algebra import alg_one
-from moca.fields import _MR_BOUND, _extension_tables, _irreducibility_witness, _is_prime, _pmod, field_make, parse_field_spec, rationals, DEFAULT_MODULI, MAX_EXTENSION_ORDER
+from moca.fields import _MR_BOUND, _extension_tables, _is_prime, field_make, parse_field_spec, rationals, DEFAULT_MODULI, MAX_EXTENSION_ORDER
 from moca.monoids import cyclic
 
 
@@ -147,6 +147,37 @@ def test_reducible_modulus_rejected_with_factor():
     with pytest.raises(ValidationError) as ei:
         field_make(2, 2, modulus=(1, 0, 1))
     assert ei.value.witness == (1, 1)  # t+1
+    assert str(ei.value) == "modulus t^2+1 is reducible over GF(2); factor t+1"
+
+
+def _ptrim(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _pmod(a, b, p):
+    """The remainder of a modulo the nonzero polynomial b; polynomials are
+    tuples in ascending degree."""
+    a, b = list(_ptrim(a)), _ptrim(b)
+    db = len(b) - 1
+    linv = pow(b[-1], -1, p)
+    for da in range(len(a) - 1, db - 1, -1):
+        c = (a[da] * linv) % p
+        if c:
+            for i in range(db + 1):
+                a[da - db + i] = (a[da - db + i] - c * b[i]) % p
+    return _ptrim(a)
+
+
+def table_irreducibility_witness(modulus, p):
+    """The factor that the table build reports, or None."""
+    try:
+        _extension_tables(p, len(modulus) - 1, modulus)
+    except ValidationError as e:
+        return e.witness
+    return None
 
 
 def oracle_irreducibility_witness(modulus, p):
@@ -172,7 +203,7 @@ def test_irreducibility_witness_matches_trial_division():
         for k in degrees:
             for low in itertools.product(range(p), repeat=k):
                 modulus = low + (1,)
-                assert (_irreducibility_witness(modulus, p)
+                assert (table_irreducibility_witness(modulus, p)
                         == oracle_irreducibility_witness(modulus, p)), (p, modulus)
                 count += 1
     assert count == 440
