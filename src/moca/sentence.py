@@ -537,7 +537,9 @@ def parse_system_json(text):
         raise ParseError("meta.support must be a list of element names")
     if len(var_names) != 2 * d * d * len(support):
         raise ParseError("variable count does not match meta.d and meta.support")
-    meta.setdefault("field", None)
+    field = meta.setdefault("field", None)
+    if field is not None and not isinstance(field, str):
+        raise ParseError(f"meta.field must be a field spec or null, got {field!r}")
     system = PolySystem(var_names, equations, negated, meta)
     half = system.nvars // 2
     for eq in equations + negated:

@@ -236,6 +236,24 @@ def test_solve_malformed_system_meta_exits_two(files):
             assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_non_string_meta_field_exits_two(files):
+    rc, out, _ = run_cli(["sentence", "emit", "--monoid", "bicyclic",
+                          "--support", "p,q", "--dim", "1", "--field", "2",
+                          "--format", "json"])
+    assert rc == 0
+    assign = files("w.txt", "x[0,0,p^1] := 1\nx[0,0,q^1] := 0\n"
+                            "y[0,0,p^1] := 0\ny[0,0,q^1] := 1\n")
+    for bad in (2, True, ["2"], {"p": 2}):
+        doc = json.loads(out)
+        doc["meta"]["field"] = bad
+        path = files("bad.json", json.dumps(doc))
+        for argv in (["sentence", "solve", "--system", path],
+                     ["sentence", "check", "--system", path, "--assign", assign]):
+            rc, sout, err = run_cli(argv)
+            assert rc == 2 and sout == "", (bad, argv)
+            assert err == f"error: meta.field must be a field spec or null, got {bad!r}\n"
+
+
 def test_non_bilinear_system_exits_two(files):
     # a y*y monomial: the solver needs every monomial to pair x with y
     rc, out, _ = run_cli(["sentence", "emit", "--monoid", "bicyclic",
