@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import AlgMatrix, _check_carriers, _collect, alg_from_terms, mat_from_entries, mat_identity
+from .algebra import AlgMatrix, _check_carriers, _collect, alg_basis, mat_from_entries, mat_identity
 from .errors import CarrierMismatch, NotFinite, ValidationError
 from .monoids import bicyclic
 
@@ -258,9 +258,8 @@ class BicyclicWitness:
 def bicyclic_witness(field):
     """One-sided inverse pair A=[p], B=[q]: A*B = I but B*A != I."""
     m = bicyclic()
-    one = field.one
-    a = mat_from_entries(field, m, [[alg_from_terms(field, m, [(m.p, one)])]])
-    b = mat_from_entries(field, m, [[alg_from_terms(field, m, [(m.q, one)])]])
+    a = mat_from_entries(field, m, [[alg_basis(field, m, m.p)]])
+    b = mat_from_entries(field, m, [[alg_basis(field, m, m.q)]])
     ab = a * b
     ba = b * a
     ident = mat_identity(field, m, 1)
