@@ -283,6 +283,7 @@ def _elem(field, monoid, out):
     """The AlgElem of a {element: nonzero Scalar} dict."""
     return AlgElem(field, monoid, {m: c.v for m, c in out.items()})
 
+
 def _oracle_accumulate(out, m, c):
     acc = out.get(m)
     s = c if acc is None else acc + c
