@@ -1,0 +1,159 @@
+"""The input-error contract: malformed invocations, their exit codes and stderr.
+
+Each case runs `moca` in process, in a scratch directory holding the input
+files below, and compares its exit code, stdout and stderr (each stderr line
+shown after `2> `) with the text pinned in cli_errors.txt.  Of an argparse
+error only the last line is kept, since the usage block above it wraps with
+the terminal width and the Python version.  The cases cover every input
+reader: the --monoid and --field flags, alone and next to a missing
+argument; K[M], GF(p), GF(p^k) and Q literals; pattern, assignment, rule,
+table and matrix files.  No case may print a traceback.  After a
+deliberate change of a message, regenerate the file with
+
+    PYTHONPATH=src python tests/test_cli_errors.py > tests/cli_errors.txt
+
+and review the diff.  The same command piped into `diff - tests/cli_errors.txt`
+checks the output without pytest, on any supported Python.
+"""
+
+import contextlib
+import io
+import os
+import re
+import shlex
+import sys
+import tempfile
+
+from moca.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "cli_errors.txt")
+BICYCLIC_VARS = ("x[0,0,p^1] := 1\nx[0,0,q^1] := 0\n"
+                 "y[0,0,p^1] := 0\ny[0,0,q^1] := 1\n")
+FILES = {
+    "dup_site.pat": "g := 1\ng^4 := 0\n",
+    "unknown_site.pat": "h := 1\n",
+    "no_assign.pat": "g 1\n",
+    "dup_site_vec.pat": "1 := 1\ng := 0\ng^4 := 1\n",
+    "sign_run_vec.pat": "1 := --1\n",
+    "rule.txt": "alphabet: 2\nmemory: 1\ntable: 01\n",
+    "rule_two_alphabets.txt": "alphabet: 2\nalphabet: 3\nmemory: 1\ntable: 012\n",
+    "rule_two_tables.txt": "alphabet: 2\nmemory: 1\ntable: 01\ntable: 10\n",
+    "rule_bad_line.txt": "alphabet: 2\nmemory: 1\nrows: 01\n",
+    "two_elements.tbl": "elements: e a\nelements: e a\nrow: e a\nrow: a e\n",
+    "row_first.tbl": "row: e a\nelements: e a\n",
+    "one.mat": "1\n1\n",
+    "bad_row.mat": "1\ng ; g\n",
+    "sign_run.mat": "1\n(t+-1)*g\n",
+    "zz.txt": "zz := 1\n" + BICYCLIC_VARS,
+    "twice.txt": "x[0,0,p^1] := 0\n" + BICYCLIC_VARS,
+    "no_assign.txt": "x[0,0,p^1] 1\n",
+    "sign_run.txt": BICYCLIC_VARS.replace(":= 1", ":= --1", 1),
+}
+C3 = ["--monoid", "cyclic:3"]
+SOLVE = ["sentence", "solve", "--monoid", "bicyclic", "--support", "p,q",
+         "--dim", "1"]
+CHECK = ["sentence", "check", "--monoid", "bicyclic", "--support", "p,q",
+         "--dim", "1"]
+
+CASES = [
+    # carrier flags, alone and next to a missing argument
+    ["mul", "--monoid", "cyclic:x", "g", "g"],
+    ["mul", "--monoid", "cyclic:x", "g"],
+    ["amul", *C3, "--field", "6", "g", "g"],
+    ["amul", *C3, "--field", "x", "g"],
+    ["amul", *C3, "--field", "2^9", "g", "g"],
+    ["ca-min-memory", "--monoid", "table:two_elements.tbl", "--rule", "rule.txt"],
+    ["ca-min-memory", "--monoid", "table:row_first.tbl"],
+    [*SOLVE[:2], "--monoid", "nope", *SOLVE[4:], "--field", "2"],
+    [*CHECK, "--field", "2^x"],
+    ["sentence", "emit", "--monoid", "bicyclic", "--support", "p,q",
+     "--dim", "1", "--field", "6"],
+    ["finiteness", "bicyclic-witness", "--field", "0"],
+    # literals: K[M], GF(p), GF(p^k) and Q
+    ["amul", *C3, "--field", "3", "g+-g", "g"],
+    ["amul", *C3, "--field", "3", "*g", "g"],
+    ["amul", *C3, "--field", "3", "2*1*g", "g"],
+    ["amul", *C3, "--field", "3", "(--1)*g", "g"],
+    ["amul", *C3, "--field", "2^2", "(--t)*g", "g"],
+    ["amul", *C3, "--field", "2^2", "(t+-1)*g", "g"],
+    ["amul", *C3, "--field", "2^2", "(t+)*g", "g"],
+    ["amul", *C3, "--field", "Q", "(--1/2)*g", "g"],
+    ["mat-mul", *C3, "--field", "2^2", "--matrixA", "sign_run.mat",
+     "--matrixB", "sign_run.mat"],
+    ["mat-mul", *C3, "--field", "2", "--matrixA", "bad_row.mat",
+     "--matrixB", "bad_row.mat"],
+    # pattern files
+    ["ca-apply", *C3, "--rule", "rule.txt", "--pattern", "dup_site.pat",
+     "--window", "1"],
+    ["ca-apply", *C3, "--rule", "rule.txt", "--pattern", "unknown_site.pat",
+     "--window", "1"],
+    ["ca-apply", *C3, "--rule", "rule.txt", "--pattern", "no_assign.pat",
+     "--window", "1"],
+    ["conv", *C3, "--field", "2", "--pattern", "dup_site_vec.pat",
+     "--matrix", "one.mat", "--window", "1"],
+    ["conv", *C3, "--field", "2^2", "--pattern", "sign_run_vec.pat",
+     "--matrix", "one.mat", "--window", "1"],
+    # assignment files
+    [*CHECK, "--field", "2", "--assign", "zz.txt"],
+    [*CHECK, "--field", "2", "--assign", "twice.txt"],
+    [*CHECK, "--field", "2", "--assign", "no_assign.txt"],
+    [*CHECK, "--field", "2^2", "--assign", "sign_run.txt"],
+    # rule files
+    ["ca-min-memory", *C3, "--rule", "rule_two_alphabets.txt"],
+    ["ca-min-memory", *C3, "--rule", "rule_two_tables.txt"],
+    ["ca-min-memory", *C3, "--rule", "rule_bad_line.txt"],
+]
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one invocation in a scratch directory."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FILES.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    rc = main(argv)
+                except SystemExit as e:  # argparse usage errors
+                    rc = e.code
+        finally:
+            os.chdir(cwd)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def render(argv):
+    rc, out, err = run(argv)
+    assert "Traceback" not in err, argv
+    lines = err.splitlines()
+    if lines and lines[0].startswith("usage: "):
+        lines = lines[-1:]
+    shown = "".join(f"2> {line}\n" for line in lines)
+    return f"$ moca {shlex.join(argv)}\nexit {rc}\n{out}{shown}"
+
+
+def load_golden():
+    """{command line: rendered section} from the golden file."""
+    with open(GOLDEN, encoding="utf-8") as fh:
+        sections = re.split(r"^(?=\$ moca )", fh.read(), flags=re.M)[1:]
+    return {s.split("\n", 1)[0].removeprefix("$ moca "): s for s in sections}
+
+
+def test_golden_file_covers_the_cases():
+    assert sorted(load_golden()) == sorted(shlex.join(argv) for argv in CASES)
+
+
+def pytest_generate_tests(metafunc):
+    if "argv" in metafunc.fixturenames:
+        metafunc.parametrize("argv", CASES, ids=shlex.join)
+
+
+def test_input_error_matches_golden(argv):
+    assert render(argv) == load_golden()[shlex.join(argv)]
+
+
+if __name__ == "__main__":
+    sys.stdout.write("".join(render(argv) for argv in CASES))
