@@ -220,35 +220,19 @@ def parse_alg_literal(text, monoid, field):
     if not s:
         raise ParseError("empty algebra literal")
     chunks = _split_top_level(s, "+-")
-    # chunks alternate term, sep, term, ...; an empty chunk is legal only at
-    # position 0, where it marks a leading sign
-    terms = []
-    sign = 1
-    for pos, ch in enumerate(chunks):
-        if pos % 2 == 1:
-            sign = 1 if ch == "+" else -1
-        elif ch:
-            terms.append((sign, ch))
-        elif pos != 0:
-            raise ParseError(f"dangling operator in {text!r}")
-    if not terms:
-        raise ParseError(f"no terms in {text!r}")
-
+    # chunks alternate term, sign, term, ...: pair each term with the sign
+    # before it ('+' if the literal starts with none); no term may be empty
+    chunks = chunks[1:] if not chunks[0] else ["+"] + chunks
+    terms = list(zip(chunks[::2], chunks[1::2]))
+    if not all(term for _, term in terms):
+        raise ParseError(f"dangling operator in {text!r}")
     pairs = []
     for sign, term in terms:
         if term == "0":
             continue
-        star = -1
-        depth = 0
-        for i, ch in enumerate(term):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "*" and depth == 0:
-                star = i
-        if star >= 0:
-            coeff_text, elem_text = term[:star], term[star + 1:]
+        parts = _split_top_level(term, "*")
+        if len(parts) > 1:  # the coefficient ends at the last top-level '*'
+            coeff_text, elem_text = "".join(parts[:-2]), parts[-1]
             if coeff_text.startswith("(") and coeff_text.endswith(")"):
                 coeff_text = coeff_text[1:-1]
             if not coeff_text or not elem_text:
@@ -256,7 +240,7 @@ def parse_alg_literal(text, monoid, field):
             coeff = field.parse_literal(coeff_text)
         else:
             coeff, elem_text = field.one, term
-        if sign < 0:
+        if sign == "-":
             coeff = -coeff
         elem = monoid.parse_element(elem_text)
         pairs.append((elem, coeff))

@@ -169,12 +169,6 @@ def minimal_memory(rule):
     return mem, CARule(rule.monoid, rule.alphabet, mem, tuple(table))
 
 
-def _finite_elements(monoid):
-    if not monoid.is_finite():
-        raise NotFinite(f"{monoid.spec_string()} is infinite")
-    return monoid.elements()
-
-
 def _config_elements(monoid, alphabet, config_budget):
     """(elements, configuration count) of a finite monoid; the budget is
     checked from the order, before the element list is built."""
@@ -187,7 +181,7 @@ def _config_elements(monoid, alphabet, config_budget):
 
 def encode_config(pattern):
     """Index of a fully defined symbol pattern over a finite monoid."""
-    els = _finite_elements(pattern.monoid)
+    els = pattern.monoid.elements()
     a = pattern.alphabet.size
     idx = 0
     for e in els:
@@ -196,7 +190,7 @@ def encode_config(pattern):
 
 
 def decode_config(monoid, alphabet, idx):
-    els = _finite_elements(monoid)
+    els = monoid.elements()
     digits = decode_digits(idx, alphabet.size, len(els))
     return Pattern(monoid, "symbol", dict(zip(els, digits)), alphabet=alphabet)
 
@@ -441,35 +435,34 @@ def parse_rule_text(text, monoid):
     first memory site most significant.  Alphabets larger than 10 use
     comma-separated symbols on the table line.
     """
-    alphabet = None
-    memory = None
-    table = None
+    got = {}
     for lineno, line in _content_lines(text):
-        if line.startswith("alphabet:"):
+        key, sep, body = line.partition(":")
+        if not sep or key not in ("alphabet", "memory", "table"):
+            raise ParseError(f"unrecognized line {line!r}", line=lineno)
+        if key in got:
+            raise ParseError(f"duplicate {key} line", line=lineno)
+        body = body.strip()
+        if key == "alphabet":
             try:
-                alphabet = SymbolAlphabet(int(line[len("alphabet:"):].strip()))
+                got[key] = SymbolAlphabet(int(body))
             except ValueError:
                 raise ParseError("bad alphabet size", line=lineno) from None
-        elif line.startswith("memory:"):
-            toks = line[len("memory:"):].split()
-            memory = tuple(monoid.parse_element(t) for t in toks)
-        elif line.startswith("table:"):
-            body = line[len("table:"):].strip()
-            if "," in body:
-                try:
-                    table = tuple(int(t) for t in body.split(","))
-                except ValueError:
-                    raise ParseError("bad table entry", line=lineno) from None
-            else:
-                if not body.isdigit() and body != "":
-                    raise ParseError(f"bad table string {body!r}", line=lineno)
-                table = tuple(int(ch) for ch in body)
+        elif key == "memory":
+            got[key] = tuple(monoid.parse_element(t) for t in body.split())
+        elif "," in body:
+            try:
+                got[key] = tuple(int(t) for t in body.split(","))
+            except ValueError:
+                raise ParseError("bad table entry", line=lineno) from None
         else:
-            raise ParseError(f"unrecognized line {line!r}", line=lineno)
-    if alphabet is None or memory is None or table is None:
+            if not body.isdigit() and body != "":
+                raise ParseError(f"bad table string {body!r}", line=lineno)
+            got[key] = tuple(int(ch) for ch in body)
+    if len(got) != 3:
         raise ParseError("rule file needs alphabet, memory, and table lines")
     try:
-        return CARule(monoid, alphabet, memory, table)
+        return CARule(monoid, got["alphabet"], got["memory"], got["table"])
     except ValidationError as e:
         raise ParseError(str(e)) from None
 

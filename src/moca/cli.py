@@ -13,6 +13,10 @@ JSON keys, seeded randomness only, and the sentence search always returns
 the least witness (`sentence solve --workers` is accepted for compatibility,
 echoed in the JSON inputs, and has no effect).
 
+argparse converts --monoid and --field (`type=`), so a bad carrier is one
+`error:` line, reported before any missing argument.  Pattern and assignment
+files share one `name := value` reader that rejects a repeated name.
+
 Exit codes: 0 success or clean verdict, 1 a sought witness was found (or a
 certificate failed), 2 usage, input, or budget errors.
 """
@@ -33,7 +37,7 @@ from .ca import (
     parse_rule_text,
     serialize_rule,
 )
-from .errors import MocaError, ParseError, ValidationError, _check_space, _content_lines
+from .errors import MocaError, ParseError, ValidationError, _bindings, _check_space
 from .fields import parse_field_spec
 from .finiteness import bicyclic_witness, certify_two_sided
 from .linear_ca import lca_apply, matrix_from_action, rule_from_matrix
@@ -94,7 +98,7 @@ def _emit(args, command, inputs, verdict, witness=None, stats=None,
 # ------------------------------------------------------------------ commands
 
 def cmd_mul(args):
-    monoid = parse_monoid_spec(args.monoid)
+    monoid = args.monoid
     x = monoid.parse_element(args.x)
     y = monoid.parse_element(args.y)
     z = x * y
@@ -105,8 +109,7 @@ def cmd_mul(args):
 
 
 def cmd_amul(args):
-    monoid = parse_monoid_spec(args.monoid)
-    field = parse_field_spec(args.field)
+    monoid, field = args.monoid, args.field
     a = parse_alg_literal(args.a, monoid, field)
     b = parse_alg_literal(args.b, monoid, field)
     c = a * b
@@ -118,8 +121,7 @@ def cmd_amul(args):
 
 
 def cmd_mat_mul(args):
-    monoid = parse_monoid_spec(args.monoid)
-    field = parse_field_spec(args.field)
+    monoid, field = args.monoid, args.field
     a = parse_matrix_text(_read(args.matrixA), monoid, field)
     b = parse_matrix_text(_read(args.matrixB), monoid, field)
     c = a * b
@@ -132,8 +134,7 @@ def cmd_mat_mul(args):
 
 
 def cmd_conv(args):
-    monoid = parse_monoid_spec(args.monoid)
-    field = parse_field_spec(args.field)
+    monoid, field = args.monoid, args.field
     c = parse_vector_pattern(_read(args.pattern), monoid, field)
     mat = parse_matrix_text(_read(args.matrix), monoid, field)
     window = _elems(monoid, args.window)
@@ -149,7 +150,7 @@ def cmd_conv(args):
 
 
 def cmd_ca_apply(args):
-    monoid = parse_monoid_spec(args.monoid)
+    monoid = args.monoid
     rule = parse_rule_text(_read(args.rule), monoid)
     pattern = parse_symbol_pattern(_read(args.pattern), monoid, rule.alphabet)
     window = _elems(monoid, args.window)
@@ -164,7 +165,7 @@ def cmd_ca_apply(args):
 
 
 def cmd_ca_compose(args):
-    monoid = parse_monoid_spec(args.monoid)
+    monoid = args.monoid
     first = parse_rule_text(_read(args.first), monoid)
     then = parse_rule_text(_read(args.then), monoid)
     comp = compose_rules(then, first)
@@ -179,11 +180,10 @@ def cmd_ca_compose(args):
 
 
 def cmd_ca_min_memory(args):
-    monoid = parse_monoid_spec(args.monoid)
-    rule = parse_rule_text(_read(args.rule), monoid)
+    rule = parse_rule_text(_read(args.rule), args.monoid)
     _, red = minimal_memory(rule)
     _emit(args, "ca-min-memory",
-          {"monoid": monoid.spec_string(), "rule": args.rule},
+          {"monoid": args.monoid.spec_string(), "rule": args.rule},
           {"memory": [str(m) for m in red.memory],
            "table": list(red.table)},
           stats={"before": len(rule.memory), "after": len(red.memory)},
@@ -192,7 +192,7 @@ def cmd_ca_min_memory(args):
 
 
 def cmd_ca_scan(args):
-    monoid = parse_monoid_spec(args.monoid)
+    monoid = args.monoid
     alphabet = SymbolAlphabet(args.alphabet)
     memory = _elems(monoid, args.memory) if args.memory else None
     kw = {}
@@ -225,8 +225,7 @@ def cmd_ca_scan(args):
 
 
 def cmd_psi(args):
-    monoid = parse_monoid_spec(args.monoid)
-    field = parse_field_spec(args.field)
+    monoid, field = args.monoid, args.field
     mat = parse_matrix_text(_read(args.matrix), monoid, field)
     rule = rule_from_matrix(mat)
     names = [str(m) for m in rule.memory]
@@ -241,8 +240,7 @@ def cmd_psi(args):
 
 
 def cmd_psi_inv(args):
-    monoid = parse_monoid_spec(args.monoid)
-    field = parse_field_spec(args.field)
+    monoid, field = args.monoid, args.field
     mat = parse_matrix_text(_read(args.matrix), monoid, field)
     if mat.d != args.dim:
         raise ValidationError(
@@ -266,8 +264,7 @@ def cmd_psi_inv(args):
 
 
 def cmd_lca_check_antihom(args):
-    monoid = parse_monoid_spec(args.monoid)
-    field = parse_field_spec(args.field)
+    monoid, field = args.monoid, args.field
     rep = antihom_suite(monoid, field, args.dim, args.count, seed=args.seed)
     witness = None
     lines = [f"trials: {rep.trials}", f"failures: {rep.failures}"]
@@ -286,8 +283,7 @@ def cmd_lca_check_antihom(args):
 
 
 def cmd_fin_certify(args):
-    monoid = parse_monoid_spec(args.monoid)
-    field = parse_field_spec(args.field)
+    monoid, field = args.monoid, args.field
     a = parse_matrix_text(_read(args.matrixA), monoid, field)
     b = parse_matrix_text(_read(args.matrixB), monoid, field)
     rep = certify_two_sided(a, b)
@@ -314,8 +310,7 @@ def cmd_fin_certify(args):
 
 
 def cmd_fin_bicyclic(args):
-    field = parse_field_spec(args.field)
-    rep = bicyclic_witness(field)
+    rep = bicyclic_witness(args.field)
     lines = [
         f"A = [{rep.a.entries[0][0]}]",
         f"B = [{rep.b.entries[0][0]}]",
@@ -323,7 +318,7 @@ def cmd_fin_bicyclic(args):
         f"B*A = I: {'yes' if rep.right_identity else 'no'}",
         f"(B*A)[0][0] = {rep.residual}",
     ]
-    _emit(args, "finiteness bicyclic-witness", {"field": field.name()},
+    _emit(args, "finiteness bicyclic-witness", {"field": args.field.name()},
           "one-sided unit pair" if rep else "construction failed",
           witness={"A": _matrix_obj(rep.a), "B": _matrix_obj(rep.b),
                    "residual": rep.residual},
@@ -331,49 +326,43 @@ def cmd_fin_bicyclic(args):
     return 0 if rep else 1
 
 
-def _load_system(args, need_field=True, budget=None):
+def _load_system(args, budget=None):
     """Resolve (system, field, context) from --system or monoid flags.
 
     With a budget, the assignment space of a sentence built from flags is
     checked before the system is: it has 2*d*d*|S| variables.
     """
-    field = None
+    monoid, field = args.monoid, args.field
     if args.system:
         system = parse_system_json(_read(args.system))
         context = None
-        if args.monoid:
-            monoid = parse_monoid_spec(args.monoid)
+        if monoid is not None:
             support = tuple(monoid.parse_element(nm)
                             for nm in system.meta["support"])
             context = (monoid, support)
     else:
-        if not args.monoid or not args.support or args.dim is None:
+        if monoid is None or not args.support or args.dim is None:
             raise ParseError(
                 "need either --system or all of --monoid/--support/--dim")
-        monoid = parse_monoid_spec(args.monoid)
         support = _elems(monoid, args.support)
-        if budget is not None and args.field and args.dim > 0:
-            field = parse_field_spec(args.field)
-            if field.is_finite():
-                _check_space(field.order, 2 * args.dim * args.dim * len(support),
-                             budget, "assignment space")
+        if (budget is not None and field is not None and field.is_finite()
+                and args.dim > 0):
+            _check_space(field.order, 2 * args.dim * args.dim * len(support),
+                         budget, "assignment space")
         _, system = build_sentence(monoid, support, args.dim)
         context = (monoid, support)
+    if field is None and system.meta.get("field"):
+        field = parse_field_spec(system.meta["field"])
     if field is None:
-        spec = getattr(args, "field", None) or system.meta.get("field")
-        if spec:
-            field = parse_field_spec(spec)
-    if field is None and need_field:
         raise ParseError("no field given (use --field or a system with one)")
     return system, field, context
 
 
 def cmd_sentence_emit(args):
-    monoid = parse_monoid_spec(args.monoid)
-    support = _elems(monoid, args.support)
-    _, system = build_sentence(monoid, support, args.dim)
-    if args.field:
-        system = with_field(system, parse_field_spec(args.field).spec_string())
+    support = _elems(args.monoid, args.support)
+    _, system = build_sentence(args.monoid, support, args.dim)
+    if args.field is not None:
+        system = with_field(system, args.field.spec_string())
     if args.format == "json":
         # the raw document, round-trippable through `--system`
         sys.stdout.write(emit_json(system))
@@ -391,8 +380,8 @@ def cmd_sentence_solve(args):
               "support": system.meta["support"], "workers": args.workers}
     if args.system:
         inputs["system"] = args.system
-    if args.monoid:
-        inputs["monoid"] = context[0].spec_string()
+    if args.monoid is not None:
+        inputs["monoid"] = args.monoid.spec_string()
     if not res.sat:
         lines = ["verdict: UNSAT", f"space: {res.space}"]
         stats = {"space": res.space}
@@ -420,20 +409,10 @@ def cmd_sentence_solve(args):
     return 1
 
 
-def _parse_assignment(text, field):
-    out = {}
-    for lineno, line in _content_lines(text):
-        if ":=" not in line:
-            raise ParseError(f"expected 'name := value', got {line!r}",
-                             line=lineno)
-        name, val = line.split(":=", 1)
-        out[name.strip()] = field.parse_literal(val.strip())
-    return out
-
-
 def cmd_sentence_check(args):
     system, field, _ = _load_system(args)
-    assignment = _parse_assignment(_read(args.assign), field)
+    assignment = {name: field.parse_literal(value) for _, name, value
+                  in _bindings(_read(args.assign), str, "name")}
     rep = check_model(system, field, assignment)
 
     def tag(label):
@@ -482,10 +461,11 @@ def _build_parser():
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
     mon = argparse.ArgumentParser(add_help=False)
-    mon.add_argument("--monoid", required=True,
+    mon.add_argument("--monoid", type=parse_monoid_spec, required=True,
                      help="bicyclic | cyclic:n | freecomm:r | table:PATH")
     fld = argparse.ArgumentParser(add_help=False)
-    fld.add_argument("--field", required=True, help="p, p^k, or Q")
+    fld.add_argument("--field", type=parse_field_spec, required=True,
+                     help="p, p^k, or Q")
 
     top = argparse.ArgumentParser(
         prog="moca",
@@ -580,29 +560,30 @@ def _build_parser():
     ss = p.add_subparsers(dest="subcommand", required=True)
     c = ss.add_parser("emit", parents=[fmt],
                       help="build and print the sentence")
-    c.add_argument("--monoid", required=True)
+    c.add_argument("--monoid", type=parse_monoid_spec, required=True)
     c.add_argument("--support", required=True)
     c.add_argument("--dim", type=int, required=True)
-    c.add_argument("--field", help="stamp a field into the document")
+    c.add_argument("--field", type=parse_field_spec,
+                   help="stamp a field into the document")
     c.set_defaults(func=cmd_sentence_emit)
     c = ss.add_parser("solve", parents=[fmt],
                       help="find the least model over a finite field")
-    c.add_argument("--monoid")
+    c.add_argument("--monoid", type=parse_monoid_spec)
     c.add_argument("--support")
     c.add_argument("--dim", type=int)
     c.add_argument("--system", help="system JSON file instead of build flags")
-    c.add_argument("--field")
+    c.add_argument("--field", type=parse_field_spec)
     c.add_argument("--budget", type=int)
     c.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; has no effect")
     c.set_defaults(func=cmd_sentence_solve)
     c = ss.add_parser("check", parents=[fmt],
                       help="evaluate an assignment file against the sentence")
-    c.add_argument("--monoid")
+    c.add_argument("--monoid", type=parse_monoid_spec)
     c.add_argument("--support")
     c.add_argument("--dim", type=int)
     c.add_argument("--system")
-    c.add_argument("--field")
+    c.add_argument("--field", type=parse_field_spec)
     c.add_argument("--assign", required=True,
                    help="file of 'name := literal' lines")
     c.set_defaults(func=cmd_sentence_check)
@@ -616,9 +597,9 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        # a ParseError raised by a `type=` converter passes through argparse
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except MocaError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -12,7 +12,9 @@ fields are bounded at q <= 256, which keeps each table at 65536 entries.
 Irreducibility of the modulus is read from the multiplication table: a
 reducible modulus has a product of two monic factors that is zero there.
 Rationals ride on fractions.Fraction, which keeps every value reduced.  All
-arithmetic is exact; there is no floating point anywhere.
+arithmetic is exact; there is no floating point anywhere.  Literals of every
+field take one optional sign per term: `t-1` and `-t+1` parse over GF(p^k),
+`t+-1` and `--t` do not.
 
 field_make returns one object per field, interned by (p) or (p, k,
 normalised modulus), and rationals() is a singleton, so every carrier check
@@ -382,40 +384,19 @@ class ExtensionField(Field):
         s = re.sub(r"\s+", "", text)
         if not s:
             raise ParseError(f"empty {self.name()} literal")
-        # split into signed terms at top level (no parens in field literals)
-        terms = []
-        cur = ""
-        sign = 1
-        first = True
-        i = 0
-        while i < len(s):
-            ch = s[i]
-            if ch in "+-" and not first and cur:
-                terms.append((sign, cur))
-                sign = 1 if ch == "+" else -1
-                cur = ""
-            elif ch in "+-" and (first or not cur):
-                if ch == "-":
-                    sign = -sign
-            else:
-                cur += ch
-            first = False
-            i += 1
-        if not cur:
+        # one optional sign per term, as in every other literal grammar
+        if not re.fullmatch(r"[+-]?[^+-]+(?:[+-][^+-]+)*", s):
             raise ParseError(f"bad {self.name()} literal {text!r}")
-        terms.append((sign, cur))
         degs = {}
-        for sg, term in terms:
+        for sign, term in re.findall(r"([+-]?)([^+-]+)", s):
             m = re.fullmatch(r"(?:([0-9]+)\*?)?(t(?:\^([0-9]+))?)?", term)
-            if not m or (m.group(1) is None and m.group(2) is None):
+            if not m:
                 raise ParseError(f"bad term {term!r} in {self.name()} literal")
-            coeff = int(m.group(1)) if m.group(1) is not None else 1
-            if m.group(2) is None:
-                deg = 0
-            else:
-                deg = int(m.group(3)) if m.group(3) is not None else 1
-            deg %= self.order - 1  # t is a unit, so t^(q-1) = 1
-            degs[deg] = degs.get(deg, 0) + sg * coeff
+            digits, t, exp = m.groups()
+            coeff = int(digits or 1)
+            # t is a unit, so t^(q-1) = 1
+            deg = 0 if t is None else int(exp or 1) % (self.order - 1)
+            degs[deg] = degs.get(deg, 0) + (-coeff if sign == "-" else coeff)
         # Horner's rule in t, whose rank is p
         r = 0
         for d in range(max(degs), -1, -1):

@@ -58,10 +58,7 @@ class FlatMatrix:
 
 def flatten(mat):
     """Scalar matrix of v -> v*A on the free module over a finite monoid."""
-    monoid = mat.monoid
-    if not monoid.is_finite():
-        raise NotFinite(f"{monoid.spec_string()} is infinite")
-    els = monoid.elements()
+    els = mat.monoid.elements()
     idx = {e: i for i, e in enumerate(els)}
     field, d = mat.field, mat.d
     size = len(els) * d

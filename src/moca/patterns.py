@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgMatrix, _check_carriers
-from .errors import CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError, _content_lines
+from .errors import CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError, _bindings
 from .fields import Scalar, random_scalar
 from .monoids import canonical_sorted, product_set
 
@@ -242,43 +242,32 @@ def convolve_matrix(c, mat, window):
 
 
 def parse_symbol_pattern(text, monoid, alphabet):
-    """Pattern file lines: `element := value`."""
+    """Pattern file lines: `site := symbol`."""
     vals = {}
-    for lineno, line in _content_lines(text):
-        if ":=" not in line:
-            raise ParseError(f"expected 'element := value', got {line!r}", line=lineno)
-        left, right = line.split(":=", 1)
-        site = monoid.parse_element(left.strip())
+    for lineno, site, value in _bindings(text, monoid.parse_element, "site"):
         try:
-            sym = int(right.strip())
+            sym = int(value)
         except ValueError:
-            raise ParseError(f"bad symbol {right.strip()!r}", line=lineno) from None
+            raise ParseError(f"bad symbol {value!r}", line=lineno) from None
         try:
             alphabet.check(sym)
         except ValidationError as e:
             raise ParseError(str(e), line=lineno) from None
-        if site in vals:
-            raise ParseError(f"duplicate site {left.strip()!r}", line=lineno)
         vals[site] = sym
     return Pattern(monoid, "symbol", vals, alphabet=alphabet)
 
 
 def parse_vector_pattern(text, monoid, field):
+    """Pattern file lines: `site := scalar, ..., scalar`."""
     vals = {}
     d = None
-    for lineno, line in _content_lines(text):
-        if ":=" not in line:
-            raise ParseError(f"expected 'element := value', got {line!r}", line=lineno)
-        left, right = line.split(":=", 1)
-        site = monoid.parse_element(left.strip())
-        vec = tuple(field.parse_literal(part) for part in right.split(","))
+    for lineno, site, value in _bindings(text, monoid.parse_element, "site"):
+        vec = tuple(field.parse_literal(part) for part in value.split(","))
         if d is None:
             d = len(vec)
         elif len(vec) != d:
             raise ParseError(f"value has {len(vec)} components, expected {d}",
                              line=lineno)
-        if site in vals:
-            raise ParseError(f"duplicate site {left.strip()!r}", line=lineno)
         vals[site] = vec
     if d is None:
         raise ParseError("empty pattern file")

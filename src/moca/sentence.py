@@ -410,9 +410,14 @@ class CheckReport:
 def check_model(system, field, assignment):
     """Evaluate both blocks with plain scalar arithmetic.
 
-    `assignment` maps variable names to scalars; shares no code with the
-    solver.
+    `assignment` maps each variable name, and no other name, to a scalar;
+    shares no code with the solver.
     """
+    known = set(system.var_names)
+    unknown = [n for n in assignment if n not in known]
+    if unknown:
+        raise ValidationError(
+            f"assignment names unknown variables: {', '.join(unknown)}")
     missing = [n for n in system.var_names if n not in assignment]
     if missing:
         raise ValidationError(f"assignment misses variables: {', '.join(missing)}")

@@ -700,3 +700,17 @@ def test_rule_file_errors():
     with pytest.raises(ParseError) as exc2:
         parse_rule_text("alphabet: 2\nbogus: 3\n", m)
     assert exc2.value.line == 2
+
+
+def test_rule_file_rejects_repeated_keys():
+    m = cyclic(3)
+    good = ["alphabet: 2", "memory: 1", "table: 01"]
+    for i, line in enumerate(good):
+        text = "\n".join(good[:i + 1] + ["# again", line] + good[i + 1:])
+        with pytest.raises(ParseError) as exc:
+            parse_rule_text(text, m)
+        key = line.split(":")[0]
+        assert (exc.value.message, exc.value.line) == (f"duplicate {key} line", i + 3)
+    # a different value on the repeated line is no excuse
+    with pytest.raises(ParseError, match="duplicate alphabet line"):
+        parse_rule_text("alphabet: 2\nalphabet: 3\nmemory: 1\ntable: 012\n", m)

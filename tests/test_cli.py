@@ -99,6 +99,20 @@ def test_check_exit_codes(files):
     assert rc == 1 and "fails at (0,0,1)" in out
 
 
+def test_check_rejects_unknown_and_repeated_names(files):
+    good = ("x[0,0,p^1] := 1\nx[0,0,q^1] := 0\n"
+            "y[0,0,p^1] := 0\ny[0,0,q^1] := 1\n")
+    base = ["sentence", "check", "--monoid", "bicyclic", "--support", "p,q",
+            "--dim", "1", "--field", "2", "--assign"]
+    rc, out, err = run_cli(base + [files("zz.txt", "zz := 1\n" + good)])
+    assert (rc, out) == (2, "")
+    assert err == "error: assignment names unknown variables: zz\n"
+    # the first value would not satisfy the sentence; the repeat is an error
+    rc, out, err = run_cli(base + [files("twice.txt", "x[0,0,p^1] := 0\n" + good)])
+    assert (rc, out) == (2, "")
+    assert err == "error: duplicate name 'x[0,0,p^1]' (line 2)\n"
+
+
 def test_emit_json_round_trip(files):
     rc, out, _ = run_cli(["sentence", "emit", "--monoid", "bicyclic",
                           "--support", "p,q", "--dim", "1", "--field", "2",

@@ -9,6 +9,7 @@ vector the oracle works on.
 
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -375,6 +376,91 @@ def test_literal_parsing_gf4():
     assert f4.parse_literal("0").is_zero()
     with pytest.raises(ParseError):
         f4.parse_literal("u+1")
+
+
+def oracle_parse_extension_literal(f, text):
+    """The hand tokenizer GF(p^k) literals were once read with: a run of
+    signs before a term folds into one sign.  On literals with at most one
+    sign per term it must agree with parse_literal_v, values and errors."""
+    s = re.sub(r"\s+", "", text)
+    if not s:
+        raise ParseError(f"empty {f.name()} literal")
+    terms = []
+    cur = ""
+    sign = 1
+    first = True
+    for ch in s:
+        if ch in "+-" and not first and cur:
+            terms.append((sign, cur))
+            sign = 1 if ch == "+" else -1
+            cur = ""
+        elif ch in "+-" and (first or not cur):
+            if ch == "-":
+                sign = -sign
+        else:
+            cur += ch
+        first = False
+    if not cur:
+        raise ParseError(f"bad {f.name()} literal {text!r}")
+    terms.append((sign, cur))
+    add, mul, _, _ = f.rank_tables()
+    degs = {}
+    for sg, term in terms:
+        m = re.fullmatch(r"(?:([0-9]+)\*?)?(t(?:\^([0-9]+))?)?", term)
+        if not m or (m.group(1) is None and m.group(2) is None):
+            raise ParseError(f"bad term {term!r} in {f.name()} literal")
+        coeff = int(m.group(1)) if m.group(1) is not None else 1
+        if m.group(2) is None:
+            deg = 0
+        else:
+            deg = int(m.group(3)) if m.group(3) is not None else 1
+        deg %= f.order - 1
+        degs[deg] = degs.get(deg, 0) + sg * coeff
+    r = 0
+    for d in range(max(degs), -1, -1):
+        r = add[mul[r][f.p]][degs.get(d, 0) % f.p]
+    return r
+
+
+def _outcome(parse, f, text):
+    try:
+        return parse(f, text)
+    except ParseError as e:
+        return str(e)
+
+
+def _single_sign_literals(rng, count):
+    """Literals from well-formed and broken terms, one sign or none before
+    each term, spaces sprinkled in; about two in three are malformed."""
+    terms = ("0", "1", "2", "12", "t", "t^2", "t^9", "2*t", "3t^4", "10*t^0",
+             "", "*", "t^", "2*", "u", "tt", "t*2", "^3")
+    out = []
+    while len(out) < count:
+        text = ""
+        for i in range(rng.randrange(1, 5)):
+            sign = rng.choice(("", "+", "-")) if i == 0 else rng.choice("+-")
+            text += sign + " " * rng.randrange(2) + rng.choice(terms)
+        if not re.search(r"[+-]\s*[+-]", text):
+            out.append(text)
+    return out
+
+
+def test_literal_parser_agrees_with_old_tokenizer():
+    rng = random.Random(15)
+    for p, k in DEFAULT_MODULI:
+        f = field_make(p, k)
+        for text in _single_sign_literals(rng, 3000) + ["", " ", "+", "-", "t+"]:
+            assert _outcome(type(f).parse_literal_v, f, text) == \
+                _outcome(oracle_parse_extension_literal, f, text), (f, text)
+
+
+def test_sign_runs_rejected_in_extension_literals():
+    f4 = field_make(2, 2)
+    for text in ("--t", "t+-1", "t--1", "+-1", "t + - 1", "-+t"):
+        oracle_parse_extension_literal(f4, text)  # once folded into one sign
+        with pytest.raises(ParseError) as exc:
+            f4.parse_literal(text)
+        assert str(exc.value) == f"bad GF(2^2) literal {text!r}"
 
 
 def test_literal_exponents_reduce_mod_q_minus_1():

@@ -265,6 +265,16 @@ def test_pattern_file_errors():
         parse_symbol_pattern("1 := 9\n", c2, SymbolAlphabet(2))
     with pytest.raises(ParseError):
         parse_symbol_pattern("1 := 0\n1 := 1\n", c2, SymbolAlphabet(2))
+    # g and g^4 name one site of cyclic:3
+    c3 = cyclic(3)
+    for parse, carrier in ((parse_symbol_pattern, SymbolAlphabet(2)),
+                           (parse_vector_pattern, field_make(2))):
+        with pytest.raises(ParseError) as exc:
+            parse("g := 1\n\ng^4 := 0\n", c3, carrier)
+        assert str(exc.value) == "duplicate site 'g^4' (line 3)"
+        with pytest.raises(ParseError) as exc:
+            parse("g 1\n", c3, carrier)
+        assert str(exc.value) == "expected 'site := value', got 'g 1' (line 1)"
 
 
 def test_vector_pattern_dimension_checks():

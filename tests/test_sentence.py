@@ -255,6 +255,16 @@ def test_check_model_missing_vars():
         check_model(system, GF2, {"x[0,0,p^1]": GF2.one})
 
 
+def test_check_model_rejects_unknown_names():
+    b, support, spec, system = bicyclic_system()
+    ranks = find_model(system, GF2).assignment
+    assignment = {"zz": GF2.one, "x[0,0,1]": GF2.zero}
+    assignment.update(zip(system.var_names, map(GF2.unrank, ranks)))
+    with pytest.raises(ValidationError) as exc:
+        check_model(system, GF2, assignment)
+    assert str(exc.value) == "assignment names unknown variables: zz, x[0,0,1]"
+
+
 def test_check_model_agrees_with_rank_scan():
     rng = random.Random(41)
     cases = []
