@@ -7,7 +7,8 @@ error only the last line is kept, since the usage block above it wraps with
 the terminal width and the Python version.  The cases cover every input
 reader: the --monoid and --field flags, alone and next to a missing
 argument; K[M], GF(p), GF(p^k) and Q literals; pattern, assignment, rule,
-table and matrix files.  No case may print a traceback.  After a
+table and matrix files; and the sites a convolution or a rule reads but a
+pattern lacks.  No case may print a traceback.  After a
 deliberate change of a message, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_errors.py > tests/cli_errors.txt
@@ -35,6 +36,9 @@ FILES = {
     "no_assign.pat": "g 1\n",
     "dup_site_vec.pat": "1 := 1\ng := 0\ng^4 := 1\n",
     "sign_run_vec.pat": "1 := --1\n",
+    "g_only_vec.pat": "g := 1\n",
+    "qp_only_vec.pat": "qp := 1\n",
+    "one_only.pat": "1 := 1\n",
     "rule.txt": "alphabet: 2\nmemory: 1\ntable: 01\n",
     "rule_two_alphabets.txt": "alphabet: 2\nalphabet: 3\nmemory: 1\ntable: 012\n",
     "rule_two_tables.txt": "alphabet: 2\nmemory: 1\ntable: 01\ntable: 10\n",
@@ -42,6 +46,9 @@ FILES = {
     "two_elements.tbl": "elements: e a\nelements: e a\nrow: e a\nrow: a e\n",
     "row_first.tbl": "row: e a\nelements: e a\n",
     "one.mat": "1\n1\n",
+    "one_g.mat": "1\n1 + g\n",
+    "p_one.mat": "1\np + 1\n",
+    "rule_x1x2.txt": "alphabet: 2\nmemory: x1 x2\ntable: 0110\n",
     "bad_row.mat": "1\ng ; g\n",
     "sign_run.mat": "1\n(t+-1)*g\n",
     "zz.txt": "zz := 1\n" + BICYCLIC_VARS,
@@ -93,6 +100,14 @@ CASES = [
      "--matrix", "one.mat", "--window", "1"],
     ["conv", *C3, "--field", "2^2", "--pattern", "sign_run_vec.pat",
      "--matrix", "one.mat", "--window", "1"],
+    # missing sites: each named once, in canonical order, whatever the
+    # window order and however many products land on it
+    ["conv", *C3, "--field", "2", "--pattern", "g_only_vec.pat",
+     "--matrix", "one_g.mat", "--window", "g^2,g"],
+    ["conv", "--monoid", "bicyclic", "--field", "2", "--pattern",
+     "qp_only_vec.pat", "--matrix", "p_one.mat", "--window", "q,1,q"],
+    ["ca-apply", "--monoid", "freecomm:2", "--rule", "rule_x1x2.txt",
+     "--pattern", "one_only.pat", "--window", "x2,x1,x1x2"],
     # assignment files
     [*CHECK, "--field", "2", "--assign", "zz.txt"],
     [*CHECK, "--field", "2", "--assign", "twice.txt"],

@@ -1,13 +1,16 @@
 """Pattern tests: restriction, shift, required domains, convolution."""
 
 import random
+from itertools import product
 
 import pytest
 
 from moca.errors import CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError
-from moca.algebra import alg_one, alg_zero, mat_from_entries, mat_identity, parse_alg_literal
+from moca.algebra import (alg_from_terms, alg_one, alg_zero, mat_from_entries, mat_identity,
+                          parse_alg_literal)
+from moca.ca import CARule, ca_apply
 from moca.fields import field_make, rationals
-from moca.monoids import bicyclic, cyclic, free_commutative, product_set
+from moca.monoids import bicyclic, canonical_sorted, cyclic, free_commutative, product_set
 from moca.patterns import (
     SymbolAlphabet,
     convolve_matrix,
@@ -122,6 +125,39 @@ def test_convolve_missing_sites_reported():
     with pytest.raises(DomainError) as ei:
         convolve_scalar(c, alpha, [b.q])
     assert {str(m) for m in ei.value.missing} == {"q^2"}
+
+
+def test_missing_sites_named_once_in_canonical_order():
+    """convolve_matrix, ca_apply and restrict name exactly the sites an
+    oracle finds missing, each once and canonically sorted, on seeded
+    windows that may repeat a site."""
+    rng = random.Random(16)
+    f2 = field_make(2)
+    a2 = SymbolAlphabet(2)
+    for monoid in (bicyclic(), cyclic(3), free_commutative(2)):
+        els = (monoid.elements() if monoid.is_finite()
+               else [monoid.elem(k) for k in product(range(3), repeat=2)])
+        for _ in range(40):
+            support = canonical_sorted(rng.sample(els, rng.randrange(1, 4)))
+            window = [rng.choice(els) for _ in range(rng.randrange(1, 5))]
+            need = required_domain(window, support)
+            defined = [m for m in need if rng.random() < 0.5]
+            want = canonical_sorted(set(need) - set(defined))
+            c = vector_pattern(monoid, f2, 1, {m: (f2.one,) for m in defined})
+            alpha = alg_from_terms(f2, monoid, [(s, f2.one) for s in support])
+            mat = mat_from_entries(f2, monoid, [[alpha]])
+            rule = CARule(monoid, a2, support, (0,) * 2 ** len(support))
+            sym = symbol_pattern(monoid, a2, {m: 0 for m in defined})
+            sites = list(dict.fromkeys(s * m for m in window for s in support))
+            for call in (lambda: convolve_matrix(c, mat, window),
+                         lambda: ca_apply(rule, sym, window),
+                         lambda: sym.restrict(sites)):
+                if not want:
+                    call()
+                    continue
+                with pytest.raises(DomainError) as ei:
+                    call()
+                assert ei.value.missing == want
 
 
 def test_convolve_matrix_identity_is_identity():
