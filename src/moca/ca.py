@@ -23,11 +23,11 @@ import struct
 from array import array
 from dataclasses import dataclass
 
-from .errors import (CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError,
-                     _check_space, _content_lines)
+from .errors import (CarrierMismatch, NotFinite, ParseError, ValidationError, _check_space,
+                     _content_lines)
 from .fields import decode_digits
-from .monoids import canonical_sorted, product_set
-from .patterns import Pattern, SymbolAlphabet, required_domain
+from .monoids import product_set
+from .patterns import Pattern, SymbolAlphabet
 
 __all__ = [
     "CARule",
@@ -112,13 +112,12 @@ def ca_apply(rule, pattern, window):
     if pattern.monoid is not rule.monoid:
         raise CarrierMismatch("pattern and rule over different monoids")
     window = list(window)
-    missing = [x for x in required_domain(window, rule.memory)
-               if x not in pattern.values]
-    if missing:
-        raise DomainError(canonical_sorted(missing), "rule needs undefined sites")
-    vals = {}
-    for m in window:
-        vals[m] = rule.local([pattern.values[s * m] for s in rule.memory])
+    try:
+        vals = {m: rule.local([pattern.values[s * m] for s in rule.memory])
+                for m in window}
+    except KeyError:
+        raise pattern.missing((s * m for s in rule.memory for m in window),
+                              "rule needs undefined sites") from None
     return Pattern(rule.monoid, "symbol", vals, alphabet=rule.alphabet)
 
 

@@ -77,8 +77,7 @@ def rule_from_matrix(matrix):
 
 def lca_apply(rule, pattern, window):
     """The rule's image of `pattern` on `window`: the convolution c*A."""
-    # convolve_matrix reads the window twice, so a generator must be listed
-    return convolve_matrix(pattern, rule.matrix, list(window))
+    return convolve_matrix(pattern, rule.matrix, window)
 
 
 def lca_compose(outer, inner):

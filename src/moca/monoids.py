@@ -6,7 +6,8 @@ exponent vector).  Sorting by key is the canonical element order used for
 deterministic iteration and witness selection throughout the package.
 
 Factories return one object per monoid, interned by key and printed label,
-and `Monoid.elem` one object per element, so carriers compare with `is`.  A
+and `Monoid.elem` one object per element, so carriers and elements compare
+and hash by identity (neither class defines __eq__ or __hash__).  A
 relabelled table (a table:PATH file with the rows of enumerate_monoids(3)[k],
 say) is a new monoid, and mixing the two raises CarrierMismatch.
 """
@@ -47,12 +48,11 @@ _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 class Elem:
     """An element in canonical form, tied to its monoid."""
 
-    __slots__ = ("monoid", "key", "_hash")
+    __slots__ = ("monoid", "key")
 
     def __init__(self, monoid, key):
         self.monoid = monoid
         self.key = key
-        self._hash = monoid._khash ^ hash(key)
 
     def __mul__(self, other):
         if not isinstance(other, Elem):
@@ -62,9 +62,6 @@ class Elem:
             raise CarrierMismatch(
                 f"mixed monoids: {m.spec_string()} vs {other.monoid.spec_string()}")
         return m.elem(m.mul_key(self.key, other.key))
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         return self.monoid.elem_name(self.key)
@@ -77,7 +74,6 @@ class Monoid:
     order = None  # None means infinite
 
     def _init_common(self):
-        self._khash = hash(self.key())
         self._cache = {}
 
     def elem(self, key):
@@ -99,9 +95,6 @@ class Monoid:
         if self.order is None:
             raise NotFinite(f"{self.spec_string()} is infinite")
         return [self.elem(k) for k in self.element_keys()]
-
-    def __hash__(self):
-        return self._khash
 
     def __repr__(self):
         return f"<monoid {self.spec_string()}>"

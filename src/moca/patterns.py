@@ -8,7 +8,8 @@ with an algebra element (or a matrix of them) evaluates
     (c * A)_j(m)   = sum over i, s of c_i(s*m) * A[i][j]_s
 
 on a requested output window; the sites needed for a window W and support S
-are exactly product_set(S, W).  Missing sites are an error that names them.
+are exactly product_set(S, W).  Sites are read directly; only when a read
+fails are the missing ones collected, into an error that names them.
 """
 
 from __future__ import annotations
@@ -74,13 +75,18 @@ class Pattern:
             raise DomainError([site], "pattern undefined at site")
         return got
 
+    def missing(self, sites, message):
+        """The DomainError naming each of `sites` outside the domain, once,
+        in canonical order."""
+        return DomainError(canonical_sorted({s for s in sites if s not in self.values}),
+                           message)
+
     def restrict(self, sites):
         sites = list(sites)
-        missing = [s for s in sites if s not in self.values]
-        if missing:
-            raise DomainError(canonical_sorted(missing),
-                              "restriction outside pattern domain")
-        vals = {s: self.values[s] for s in sites}
+        try:
+            vals = {s: self.values[s] for s in sites}
+        except KeyError:
+            raise self.missing(sites, "restriction outside pattern domain") from None
         return Pattern(self.monoid, self.kind, vals,
                        alphabet=self.alphabet, field=self.field, d=self.d)
 
@@ -191,14 +197,7 @@ def pattern_scale(c, scalar):
 
 def required_domain(window, support):
     """Sites a convolution with this support reads to fill this window."""
-    if not support:
-        return ()
     return product_set(support, window)
-
-
-def _missing_sites(c, window, support):
-    need = required_domain(window, support)
-    return [s for s in need if s not in c.values]
 
 
 def convolve_scalar(c, alpha, window):
@@ -216,28 +215,29 @@ def convolve_matrix(c, mat, window):
     if c.d != mat.d:
         raise CarrierMismatch(f"pattern has d={c.d}, matrix is {mat.d}x{mat.d}")
     supp = mat.support()
-    missing = _missing_sites(c, window, supp)
-    if missing:
-        raise DomainError(canonical_sorted(missing),
-                          "convolution needs undefined sites")
+    window = list(window)
     field = mat.field
     d = mat.d
     add, mul, zero = field.add_v, field.mul_v, field.zero_v
     vals = {}
-    for m in window:
-        comps = [zero] * d
-        for s in supp:
-            cv = c.values[s * m]
-            for i in range(d):
-                ci = cv[i].v
-                if ci == zero:
-                    continue
-                row = mat.entries[i]
-                for j in range(d):
-                    co = row[j].terms.get(s)
-                    if co is not None:
-                        comps[j] = add(comps[j], mul(ci, co))
-        vals[m] = tuple(Scalar(field, v) for v in comps)
+    try:
+        for m in window:
+            comps = [zero] * d
+            for s in supp:
+                cv = c.values[s * m]
+                for i in range(d):
+                    ci = cv[i].v
+                    if ci == zero:
+                        continue
+                    row = mat.entries[i]
+                    for j in range(d):
+                        co = row[j].terms.get(s)
+                        if co is not None:
+                            comps[j] = add(comps[j], mul(ci, co))
+            vals[m] = tuple(Scalar(field, v) for v in comps)
+    except KeyError:
+        raise c.missing((s * m for s in supp for m in window),
+                        "convolution needs undefined sites") from None
     return Pattern(c.monoid, "vector", vals, field=field, d=d)
 
 

@@ -200,9 +200,9 @@ def action_law_suite(monoid, field, d, count, seed, window_size=2):
         ab = a * b
         window = tuple(rng.sample(pool, window_size))
         w1 = required_domain(window, b.support())
-        sites = set(required_domain(w1, a.support())) | set(w1) | set(window)
-        sites |= set(required_domain(window, ab.support()))
-        sites |= set(required_domain(window, a.support()))
+        sites = canonical_sorted({*required_domain(w1, a.support()), *w1, *window,
+                                  *required_domain(window, ab.support()),
+                                  *required_domain(window, a.support())})
         c = random_vector_pattern(rng, monoid, field, d, sites)
         two_step = convolve_matrix(convolve_matrix(c, a, w1), b, window)
         one_step = convolve_matrix(c, ab, window)
@@ -221,8 +221,8 @@ def action_law_suite(monoid, field, d, count, seed, window_size=2):
             alpha = a.entries[0][0]
             beta = b.entries[0][0]
             w1s = required_domain(window, beta.support())
-            s_sites = set(required_domain(w1s, alpha.support())) | set(w1s) | set(window)
-            s_sites |= set(required_domain(window, (alpha * beta).support()))
+            s_sites = canonical_sorted({*required_domain(w1s, alpha.support()), *w1s, *window,
+                                        *required_domain(window, (alpha * beta).support())})
             cs = random_vector_pattern(rng, monoid, field, 1, s_sites)
             step1 = convolve_scalar(cs, alpha, w1s)
             lhs_s = convolve_scalar(step1, beta, window)

@@ -148,7 +148,7 @@ def test_missing_sites_named_once_in_canonical_order():
             mat = mat_from_entries(f2, monoid, [[alpha]])
             rule = CARule(monoid, a2, support, (0,) * 2 ** len(support))
             sym = symbol_pattern(monoid, a2, {m: 0 for m in defined})
-            sites = list(dict.fromkeys(s * m for m in window for s in support))
+            sites = [s * m for m in window for s in support]
             for call in (lambda: convolve_matrix(c, mat, window),
                          lambda: ca_apply(rule, sym, window),
                          lambda: sym.restrict(sites)):
