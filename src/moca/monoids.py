@@ -362,9 +362,10 @@ def canonical_sorted(elems):
 
 
 def product_set(S, T):
-    """All products s*t for s in S, t in T, deduplicated and sorted."""
-    out = {s * t for s in S for t in T}
-    return tuple(canonical_sorted(out))
+    """All products s*t for s in S, t in T, deduplicated and sorted; T is
+    read once, so either may be a generator."""
+    T = tuple(T)
+    return tuple(canonical_sorted({s * t for s in S for t in T}))
 
 
 @dataclass(frozen=True)

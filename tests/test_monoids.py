@@ -133,6 +133,14 @@ def test_product_set_window():
     assert {str(e) for e in got} == {"1", "q^2"}
 
 
+def test_product_set_reads_generators_once():
+    c3 = cyclic(3)
+    one, g = c3.elements()[:2]
+    want = tuple(c3.elements())
+    assert product_set([one, g], iter([one, g])) == want
+    assert product_set(iter([one, g]), iter([one, g])) == want
+
+
 def test_elements_listing():
     assert [str(e) for e in cyclic(3).elements()] == ["1", "g", "g^2"]
     with pytest.raises(NotFinite):

@@ -95,6 +95,23 @@ def test_required_domain_frozen():
     assert required_domain(W, ()) == ()
 
 
+def test_generator_windows_read_once():
+    c3 = cyclic(3)
+    f3 = field_make(3)
+    els = c3.elements()
+    alpha = parse_alg_literal("1 + 2*g", c3, f3)
+    mat = mat_from_entries(f3, c3, [[alpha]])
+    W = els[1:]
+    assert required_domain(iter(W), alpha.support()) == tuple(els)
+    c = vp(c3, f3, {els[0]: [1], els[1]: [2], els[2]: [0]})
+    out = convolve_matrix(c, mat, iter(W))
+    assert out == convolve_matrix(c, mat, W)
+    assert out.domain() == tuple(W)
+    with pytest.raises(DomainError) as ei:
+        convolve_matrix(c.restrict(W), mat, iter(W))
+    assert ei.value.missing == [els[0]]
+
+
 def test_convolve_scalar_frozen_cyclic2():
     c2 = cyclic(2)
     f2 = field_make(2)
