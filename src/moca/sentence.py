@@ -538,8 +538,8 @@ def parse_system_json(text):
     d, support = meta["d"], meta["support"]
     if type(d) is not int or d < 1:
         raise ParseError(f"meta.d must be an integer >= 1, got {d!r}")
-    if not isinstance(support, list) or not all(isinstance(s, str) for s in support):
-        raise ParseError("meta.support must be a list of element names")
+    if not (isinstance(support, list) and support and all(isinstance(s, str) for s in support)):
+        raise ParseError("meta.support must be a nonempty list of element names")
     if len(var_names) != 2 * d * d * len(support):
         raise ParseError("variable count does not match meta.d and meta.support")
     field = meta.setdefault("field", None)

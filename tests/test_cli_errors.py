@@ -55,6 +55,8 @@ FILES = {
     "twice.txt": "x[0,0,p^1] := 0\n" + BICYCLIC_VARS,
     "no_assign.txt": "x[0,0,p^1] 1\n",
     "sign_run.txt": BICYCLIC_VARS.replace(":= 1", ":= --1", 1),
+    "empty_support.json": ('{"variables": [], "equations": [], "negated_block": [], '
+                           '"meta": {"d": 1, "support": []}}\n'),
 }
 C3 = ["--monoid", "cyclic:3"]
 SOLVE = ["sentence", "solve", "--monoid", "bicyclic", "--support", "p,q",
@@ -113,6 +115,8 @@ CASES = [
     [*CHECK, "--field", "2", "--assign", "twice.txt"],
     [*CHECK, "--field", "2", "--assign", "no_assign.txt"],
     [*CHECK, "--field", "2^2", "--assign", "sign_run.txt"],
+    # system files
+    ["sentence", "solve", "--system", "empty_support.json", "--field", "1009"],
     # rule files
     ["ca-min-memory", *C3, "--rule", "rule_two_alphabets.txt"],
     ["ca-min-memory", *C3, "--rule", "rule_two_tables.txt"],

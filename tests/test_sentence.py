@@ -414,6 +414,16 @@ def test_parse_system_json_errors():
         parse_system_json(json.dumps(obj3))
 
 
+def test_parse_system_json_rejects_an_empty_support():
+    # zero variables would pass any budget, and GF(p) would then build its
+    # p x p rank tables unchecked
+    doc = {"variables": [], "equations": [], "negated_block": [],
+           "meta": {"d": 1, "support": []}}
+    with pytest.raises(ParseError) as exc:
+        parse_system_json(json.dumps(doc))
+    assert str(exc.value) == "meta.support must be a nonempty list of element names"
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True),
        st.sampled_from([2, 3]))
