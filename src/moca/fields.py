@@ -389,7 +389,8 @@ class ExtensionField(Field):
             raise ParseError(f"bad {self.name()} literal {text!r}")
         degs = {}
         for sign, term in re.findall(r"([+-]?)([^+-]+)", s):
-            m = re.fullmatch(r"(?:([0-9]+)\*?)?(t(?:\^([0-9]+))?)?", term)
+            # a coefficient's `*` must be followed by t: `2*t`, never `2*`
+            m = re.fullmatch(r"(?:([0-9]+)(?:\*(?=t))?)?(t(?:\^([0-9]+))?)?", term)
             if not m:
                 raise ParseError(f"bad term {term!r} in {self.name()} literal")
             digits, t, exp = m.groups()

@@ -86,6 +86,7 @@ CASES = [
     ["amul", *C3, "--field", "2^2", "(--t)*g", "g"],
     ["amul", *C3, "--field", "2^2", "(t+-1)*g", "g"],
     ["amul", *C3, "--field", "2^2", "(t+)*g", "g"],
+    ["amul", *C3, "--field", "2^2", "(1*)*g", "g"],
     ["amul", *C3, "--field", "Q", "(--1/2)*g", "g"],
     ["mat-mul", *C3, "--field", "2^2", "--matrixA", "sign_run.mat",
      "--matrixB", "sign_run.mat"],

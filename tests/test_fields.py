@@ -381,7 +381,9 @@ def test_literal_parsing_gf4():
 def oracle_parse_extension_literal(f, text):
     """The hand tokenizer GF(p^k) literals were once read with: a run of
     signs before a term folds into one sign.  On literals with at most one
-    sign per term it must agree with parse_literal_v, values and errors."""
+    sign per term it must agree with parse_literal_v, values and errors.
+    A term ending in `*` (a coefficient with no t after its star) is
+    rejected here too."""
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ParseError(f"empty {f.name()} literal")
@@ -407,7 +409,7 @@ def oracle_parse_extension_literal(f, text):
     degs = {}
     for sg, term in terms:
         m = re.fullmatch(r"(?:([0-9]+)\*?)?(t(?:\^([0-9]+))?)?", term)
-        if not m or (m.group(1) is None and m.group(2) is None):
+        if not m or (m.group(1) is None and m.group(2) is None) or term.endswith("*"):
             raise ParseError(f"bad term {term!r} in {f.name()} literal")
         coeff = int(m.group(1)) if m.group(1) is not None else 1
         if m.group(2) is None:
@@ -461,6 +463,15 @@ def test_sign_runs_rejected_in_extension_literals():
         with pytest.raises(ParseError) as exc:
             f4.parse_literal(text)
         assert str(exc.value) == f"bad GF(2^2) literal {text!r}"
+
+
+def test_star_needs_a_t_in_extension_literals():
+    f4 = field_make(2, 2)
+    for text, term in (("1*", "1*"), ("t + 2*", "2*"), ("3* + t", "3*")):
+        with pytest.raises(ParseError) as exc:
+            f4.parse_literal(text)
+        assert str(exc.value) == f"bad term {term!r} in GF(2^2) literal"
+    assert f4.parse_literal("1*t + 2*t^2") == f4.parse_literal("t + 2t^2")
 
 
 def test_literal_exponents_reduce_mod_q_minus_1():
