@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .errors import CarrierMismatch, ParseError, ValidationError, _content_lines
+from .errors import CarrierMismatch, ParseError, ValidationError, _content_lines, _on_line
 from .fields import Scalar
 from .monoids import canonical_sorted
 
@@ -361,10 +361,7 @@ def parse_matrix_text(text, monoid, field):
         cells = ln.split(";")
         if len(cells) != d:
             raise ParseError(f"row has {len(cells)} entries, expected {d}", line=r)
-        try:
-            rows.append([parse_alg_literal(c, monoid, field) for c in cells])
-        except ParseError as e:
-            raise ParseError(f"{e.message}", line=r) from None
+        rows.append([_on_line(r, parse_alg_literal, c, monoid, field) for c in cells])
     return AlgMatrix(field, monoid, rows)
 
 

@@ -15,7 +15,8 @@ echoed in the JSON inputs, and has no effect).
 
 argparse converts --monoid and --field (`type=`), so a bad carrier is one
 `error:` line, reported before any missing argument.  Pattern and assignment
-files share one `name := value` reader that rejects a repeated name.
+files share one `name := value` reader that rejects a repeated name; a bad
+value, like a bad matrix entry, names its line.
 
 Exit codes: 0 success or clean verdict, 1 a sought witness was found (or a
 certificate failed), 2 usage, input, or budget errors.
@@ -37,7 +38,7 @@ from .ca import (
     parse_rule_text,
     serialize_rule,
 )
-from .errors import MocaError, ParseError, ValidationError, _bindings, _check_space
+from .errors import MocaError, ParseError, ValidationError, _bindings, _check_space, _on_line
 from .fields import parse_field_spec
 from .finiteness import bicyclic_witness, certify_two_sided
 from .linear_ca import lca_apply, matrix_from_action, rule_from_matrix
@@ -411,7 +412,7 @@ def cmd_sentence_solve(args):
 
 def cmd_sentence_check(args):
     system, field, _ = _load_system(args)
-    assignment = {name: field.parse_literal(value) for _, name, value
+    assignment = {name: _on_line(lineno, field.parse_literal, value) for lineno, name, value
                   in _bindings(_read(args.assign), str, "name")}
     rep = check_model(system, field, assignment)
 

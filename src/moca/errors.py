@@ -94,6 +94,14 @@ def _bindings(text, parse_name, what):
         yield lineno, name, value.strip()
 
 
+def _on_line(lineno, parse, *args):
+    """parse(*args), with a ParseError it raises tagged with the line number."""
+    try:
+        return parse(*args)
+    except ParseError as e:
+        raise ParseError(e.message, line=lineno) from None
+
+
 def _check_space(base, exponent, budget, what):
     """base**exponent, or BudgetExceeded naming the space as base^exponent.
 

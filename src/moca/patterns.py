@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import AlgMatrix, _check_carriers
-from .errors import CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError, _bindings
+from .errors import (CarrierMismatch, DomainError, NotFinite, ParseError, ValidationError,
+                     _bindings, _on_line)
 from .fields import Scalar, random_scalar
 from .monoids import canonical_sorted, product_set
 
@@ -262,7 +263,7 @@ def parse_vector_pattern(text, monoid, field):
     vals = {}
     d = None
     for lineno, site, value in _bindings(text, monoid.parse_element, "site"):
-        vec = tuple(field.parse_literal(part) for part in value.split(","))
+        vec = tuple(_on_line(lineno, field.parse_literal, part) for part in value.split(","))
         if d is None:
             d = len(vec)
         elif len(vec) != d:

@@ -111,6 +111,10 @@ def test_check_rejects_unknown_and_repeated_names(files):
     rc, out, err = run_cli(base + [files("twice.txt", "x[0,0,p^1] := 0\n" + good)])
     assert (rc, out) == (2, "")
     assert err == "error: duplicate name 'x[0,0,p^1]' (line 2)\n"
+    # a bad value names its line
+    rc, out, err = run_cli(base + [files("bad.txt", good.replace(":= 0", ":= 2/3", 1))])
+    assert (rc, out) == (2, "")
+    assert err == "error: bad GF(2) literal '2/3' (line 2)\n"
 
 
 def test_emit_json_round_trip(files):

@@ -328,6 +328,10 @@ def test_pattern_file_errors():
         with pytest.raises(ParseError) as exc:
             parse("g 1\n", c3, carrier)
         assert str(exc.value) == "expected 'site := value', got 'g 1' (line 1)"
+    # a bad value names its line, as in a matrix file
+    with pytest.raises(ParseError) as exc:
+        parse_vector_pattern("1 := 1,t\n\ng := 0,--1\n", c3, field_make(2, 2))
+    assert str(exc.value) == "bad GF(2^2) literal '--1' (line 3)"
 
 
 def test_vector_pattern_dimension_checks():
