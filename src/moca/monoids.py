@@ -73,9 +73,6 @@ class Elem:
 class Monoid:
     order = None  # None means infinite
 
-    def _init_common(self):
-        self._cache = {}
-
     def elem(self, key):
         got = self._cache.get(key)
         if got is None:
@@ -150,7 +147,7 @@ class TableMonoid(Monoid):
         self.order = n
         self.label = label or "table"
         self._index = {nm: i for i, nm in enumerate(names)}
-        self._init_common()
+        self._cache = {}
 
     def key(self):
         return ("table", self.names, self.rows)
@@ -185,7 +182,7 @@ class CyclicMonoid(Monoid):
             raise ValidationError(f"cyclic order must be >= 1, got {n}")
         self.n = n
         self.order = n
-        self._init_common()
+        self._cache = {}
 
     def key(self):
         return ("cyclic", self.n)
@@ -226,7 +223,7 @@ class BicyclicMonoid(Monoid):
     order = None
 
     def __init__(self):
-        self._init_common()
+        self._cache = {}
 
     def key(self):
         return ("bicyclic",)
@@ -285,7 +282,7 @@ class FreeCommMonoid(Monoid):
         if rank < 1:
             raise ValidationError(f"rank must be >= 1, got {rank}")
         self.rank = rank
-        self._init_common()
+        self._cache = {}
 
     def key(self):
         return ("freecomm", self.rank)
@@ -362,9 +359,8 @@ def canonical_sorted(elems):
 
 
 def product_set(S, T):
-    """All products s*t for s in S, t in T, deduplicated and sorted; T is
-    read once, so either may be a generator."""
-    T = tuple(T)
+    """All products s*t for s in S, t in T, deduplicated and sorted."""
+    T = tuple(T)  # read once, so T may be a generator
     return tuple(canonical_sorted({s * t for s in S for t in T}))
 
 
