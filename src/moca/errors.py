@@ -79,15 +79,15 @@ def _content_lines(text):
 
 def _bindings(text, parse_name, what):
     """(line number, parsed name, value text) per `name := value` line; a
-    line without `:=`, or a name parsed to a key seen before (`g` then `g^4`
-    on cyclic:3), is a ParseError naming the left side as `what`."""
+    line without `:=`, a name that does not parse, or a name parsed to a key
+    seen before (`g` then `g^4` on cyclic:3) is a ParseError on its line."""
     seen = set()
     for lineno, line in _content_lines(text):
         left, sep, value = line.partition(":=")
         if not sep:
             raise ParseError(f"expected '{what} := value', got {line!r}",
                              line=lineno)
-        name = parse_name(left.strip())
+        name = _on_line(lineno, parse_name, left.strip())
         if name in seen:
             raise ParseError(f"duplicate {what} {left.strip()!r}", line=lineno)
         seen.add(name)

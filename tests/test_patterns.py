@@ -328,6 +328,9 @@ def test_pattern_file_errors():
         with pytest.raises(ParseError) as exc:
             parse("g 1\n", c3, carrier)
         assert str(exc.value) == "expected 'site := value', got 'g 1' (line 1)"
+        with pytest.raises(ParseError) as exc:
+            parse("g := 1\nh := 1\n", c3, carrier)
+        assert str(exc.value) == "unknown element 'h' in cyclic:3 (line 2)"
     # a bad value names its line, as in a matrix file
     with pytest.raises(ParseError) as exc:
         parse_vector_pattern("1 := 1,t\n\ng := 0,--1\n", c3, field_make(2, 2))
