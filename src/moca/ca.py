@@ -116,8 +116,8 @@ def ca_apply(rule, pattern, window):
         vals = {m: rule.local([pattern.values[s * m] for s in rule.memory])
                 for m in window}
     except KeyError:
-        raise pattern.missing((s * m for s in rule.memory for m in window),
-                              "rule needs undefined sites") from None
+        raise pattern.missing_error((s * m for s in rule.memory for m in window),
+                                    "rule needs undefined sites") from None
     return Pattern(rule.monoid, "symbol", vals, alphabet=rule.alphabet)
 
 

@@ -76,7 +76,7 @@ class Pattern:
             raise DomainError([site], "pattern undefined at site")
         return got
 
-    def missing(self, sites, message):
+    def missing_error(self, sites, message):
         """The DomainError naming each of `sites` outside the domain, once,
         in canonical order."""
         return DomainError(canonical_sorted({s for s in sites if s not in self.values}),
@@ -87,7 +87,7 @@ class Pattern:
         try:
             vals = {s: self.values[s] for s in sites}
         except KeyError:
-            raise self.missing(sites, "restriction outside pattern domain") from None
+            raise self.missing_error(sites, "restriction outside pattern domain") from None
         return Pattern(self.monoid, self.kind, vals,
                        alphabet=self.alphabet, field=self.field, d=self.d)
 
@@ -237,8 +237,8 @@ def convolve_matrix(c, mat, window):
                             comps[j] = add(comps[j], mul(ci, co))
             vals[m] = tuple(Scalar(field, v) for v in comps)
     except KeyError:
-        raise c.missing((s * m for s in supp for m in window),
-                        "convolution needs undefined sites") from None
+        raise c.missing_error((s * m for s in supp for m in window),
+                              "convolution needs undefined sites") from None
     return Pattern(c.monoid, "vector", vals, field=field, d=d)
 
 

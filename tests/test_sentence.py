@@ -412,15 +412,12 @@ def test_parse_system_json_errors():
     del obj3["meta"]["support"]
     with pytest.raises(ParseError):
         parse_system_json(json.dumps(obj3))
-
-
-def test_parse_system_json_rejects_an_empty_support():
     # zero variables would pass any budget, and GF(p) would then build its
     # p x p rank tables unchecked
-    doc = {"variables": [], "equations": [], "negated_block": [],
-           "meta": {"d": 1, "support": []}}
+    empty = {"variables": [], "equations": [], "negated_block": [],
+             "meta": {"d": 1, "support": []}}
     with pytest.raises(ParseError) as exc:
-        parse_system_json(json.dumps(doc))
+        parse_system_json(json.dumps(empty))
     assert str(exc.value) == "meta.support must be a nonempty list of element names"
 
 
