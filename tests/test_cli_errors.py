@@ -7,8 +7,8 @@ error only the last line is kept, since the usage block above it wraps with
 the terminal width and the Python version.  The cases cover every input
 reader: the --monoid and --field flags, alone and next to a missing
 argument; K[M], GF(p), GF(p^k) and Q literals; pattern, assignment, rule,
-table and matrix files; and the sites a convolution or a rule reads but a
-pattern lacks.  No case may print a traceback.  After a
+table, matrix and system files; and the sites a convolution or a rule
+reads but a pattern lacks.  No case may print a traceback.  After a
 deliberate change of a message, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_errors.py > tests/cli_errors.txt
