@@ -36,6 +36,7 @@ FILES = {
     "no_assign.pat": "g 1\n",
     "dup_site_vec.pat": "1 := 1\ng := 0\ng^4 := 1\n",
     "sign_run_vec.pat": "1 := --1\n",
+    "spaced_run_vec.pat": "1 := 1, --1\n",
     "g_only_vec.pat": "g := 1\n",
     "qp_only_vec.pat": "qp := 1\n",
     "one_only.pat": "1 := 1\n",
@@ -51,6 +52,7 @@ FILES = {
     "rule_x1x2.txt": "alphabet: 2\nmemory: x1 x2\ntable: 0110\n",
     "bad_row.mat": "1\ng ; g\n",
     "sign_run.mat": "1\n(t+-1)*g\n",
+    "spaced_run.mat": "2\n1 ; --1\n0 ; 1\n",
     "zz.txt": "zz := 1\n" + BICYCLIC_VARS,
     "twice.txt": "x[0,0,p^1] := 0\n" + BICYCLIC_VARS,
     "no_assign.txt": "x[0,0,p^1] 1\n",
@@ -92,6 +94,8 @@ CASES = [
      "--matrixB", "sign_run.mat"],
     ["mat-mul", *C3, "--field", "2", "--matrixA", "bad_row.mat",
      "--matrixB", "bad_row.mat"],
+    ["mat-mul", *C3, "--field", "3", "--matrixA", "spaced_run.mat",
+     "--matrixB", "spaced_run.mat"],
     # pattern files
     ["ca-apply", *C3, "--rule", "rule.txt", "--pattern", "dup_site.pat",
      "--window", "1"],
@@ -102,6 +106,8 @@ CASES = [
     ["conv", *C3, "--field", "2", "--pattern", "dup_site_vec.pat",
      "--matrix", "one.mat", "--window", "1"],
     ["conv", *C3, "--field", "2^2", "--pattern", "sign_run_vec.pat",
+     "--matrix", "one.mat", "--window", "1"],
+    ["conv", *C3, "--field", "3", "--pattern", "spaced_run_vec.pat",
      "--matrix", "one.mat", "--window", "1"],
     # missing sites: each named once, in canonical order, whatever the
     # window order and however many products land on it
