@@ -30,7 +30,7 @@ from __future__ import annotations
 from itertools import chain
 
 from .errors import CarrierMismatch, ParseError, ValidationError, _content_lines, _on_line
-from .fields import Scalar
+from .fields import Scalar, _check_field
 from .monoids import canonical_sorted
 
 __all__ = [
@@ -47,12 +47,6 @@ __all__ = [
     "parse_matrix_text",
     "serialize_matrix",
 ]
-
-
-def _check_field(field, x):
-    """Raise unless x (a Scalar, element or matrix) lives over `field`."""
-    if x.field is not field:
-        raise CarrierMismatch(f"mixed fields: {field.name()} vs {x.field.name()}")
 
 
 def _check_carriers(a, b):

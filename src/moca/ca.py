@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import (CarrierMismatch, NotFinite, ParseError, ValidationError, _check_space,
                      _content_lines)
-from .fields import decode_digits
+from .fields import decode_digits, encode_digits
 from .monoids import product_set
 from .patterns import Pattern, SymbolAlphabet
 
@@ -84,11 +84,7 @@ class CARule:
 
     def local(self, digits):
         """Evaluate the local map on symbols listed in memory order."""
-        a = self.alphabet.size
-        idx = 0
-        for d in digits:
-            idx = idx * a + d
-        return self.table[idx]
+        return self.table[encode_digits(digits, self.alphabet.size)]
 
     def __repr__(self):
         mem = ",".join(str(e) for e in self.memory)
@@ -100,7 +96,6 @@ def identity_rule(monoid, alphabet):
 
 
 def constant_rule(monoid, alphabet, sym):
-    alphabet.check(sym)
     return CARule(monoid, alphabet, (), (sym,))
 
 
@@ -180,12 +175,8 @@ def _config_elements(monoid, alphabet, config_budget):
 
 def encode_config(pattern):
     """Index of a fully defined symbol pattern over a finite monoid."""
-    els = pattern.monoid.elements()
-    a = pattern.alphabet.size
-    idx = 0
-    for e in els:
-        idx = idx * a + pattern.value(e)
-    return idx
+    return encode_digits(map(pattern.value, pattern.monoid.elements()),
+                         pattern.alphabet.size)
 
 
 def decode_config(monoid, alphabet, idx):

@@ -46,26 +46,21 @@ class NotFinite(MocaError):
 class BudgetExceeded(MocaError):
     """An exhaustive scan would overrun the configured budget.
 
-    `required` is the size as an int, or as a pair (base, exponent) that the
-    message renders as `base^exponent`; `.required` is always the int, and
-    for a pair it is only formed when read.
+    `required` is the pair (base, exponent) that the message renders as
+    `base^exponent`; `.required` is the size as an int, formed only when read.
     """
 
-    def __init__(self, required, budget, what="search space"):
+    def __init__(self, required, budget, what):
         self._required = required
-        size = required
-        if isinstance(required, tuple):
-            size = "^".join(map(str, required))
         self.budget = budget
         self.what = what
-        super().__init__(f"{what} of size {size} exceeds budget {budget}")
+        super().__init__(f"{what} of size {'^'.join(map(str, required))} "
+                         f"exceeds budget {budget}")
 
     @property
     def required(self):
-        if isinstance(self._required, tuple):
-            base, exponent = self._required
-            return base ** exponent
-        return self._required
+        base, exponent = self._required
+        return base ** exponent
 
 
 def _content_lines(text):

@@ -40,6 +40,7 @@ __all__ = [
     "parse_field_spec",
     "random_scalar",
     "decode_digits",
+    "encode_digits",
     "DEFAULT_MODULI",
     "MAX_EXTENSION_ORDER",
 ]
@@ -163,6 +164,12 @@ DEFAULT_MODULI = {
 }
 
 
+def _check_field(field, x):
+    """Raise unless x (a Scalar, element or matrix) lives over `field`."""
+    if x.field is not field:
+        raise CarrierMismatch(f"mixed fields: {field.name()} vs {x.field.name()}")
+
+
 class Scalar:
     """One field element in canonical form."""
 
@@ -172,33 +179,28 @@ class Scalar:
         self.field = field
         self.v = v
 
-    def _same(self, other):
-        if other.field is not self.field:
-            raise CarrierMismatch(
-                f"mixed fields: {self.field.name()} vs {other.field.name()}")
-
     def __add__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._same(other)
+        _check_field(self.field, other)
         return Scalar(self.field, self.field.add_v(self.v, other.v))
 
     def __sub__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._same(other)
+        _check_field(self.field, other)
         return Scalar(self.field, self.field.sub_v(self.v, other.v))
 
     def __mul__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._same(other)
+        _check_field(self.field, other)
         return Scalar(self.field, self.field.mul_v(self.v, other.v))
 
     def __truediv__(self, other):
         if not isinstance(other, Scalar):
             return NotImplemented
-        self._same(other)
+        _check_field(self.field, other)
         return Scalar(self.field, self.field.mul_v(self.v, self.field.inv_v(other.v)))
 
     def __neg__(self):
@@ -527,3 +529,11 @@ def decode_digits(idx, base, length):
         out[pos] = idx % base
         idx //= base
     return out
+
+
+def encode_digits(digits, base):
+    """The index whose base-`base` digits, most significant first, are `digits`."""
+    idx = 0
+    for d in digits:
+        idx = idx * base + d
+    return idx

@@ -4,7 +4,8 @@ A rule is identified with its d x d matrix over the monoid algebra; the
 memory set is the union of entry supports, which is also the minimal one.
 Matrices and rules swap composition order: applying rule(A) then rule(B)
 convolves with A*B.  The matrix behind a black-box linear map is recovered
-by probing with indicator patterns and reading the output at the identity.
+by probing with indicator patterns and reading the output at the identity;
+the dependence scan is the support of the matrix so probed.
 """
 
 from __future__ import annotations
@@ -96,25 +97,18 @@ def lca_dependence_scan(rule, candidates=None):
     """Sites a probe pattern can influence the output through.
 
     Probes each candidate site (default: the declared memory) with indicator
-    patterns per component and keeps the sites with a nonzero response at
+    patterns per component, through matrix_from_action, and keeps the sites
+    where the recovered matrix is nonzero: those with a nonzero response at
     the identity.  Independent of the support bookkeeping.
     """
-    monoid, field, d = rule.monoid, rule.field, rule.d
+    monoid = rule.monoid
     if candidates is None:
         candidates = rule.memory
     candidates = canonical_sorted(set(candidates) | set(rule.memory))
-    hits = []
-    for s in candidates:
-        alive = False
-        for i in range(d):
-            probe = indicator_pattern(monoid, field, d, candidates, i, s)
-            vals = lca_apply(rule, probe, (monoid.identity,)).value(monoid.identity)
-            if any(not v.is_zero() for v in vals):
-                alive = True
-                break
-        if alive:
-            hits.append(s)
-    return tuple(hits)
+    one = monoid.identity
+    return matrix_from_action(monoid, rule.field, rule.d, candidates,
+                              lambda c: lca_apply(rule, c, (one,)),
+                              superposition_checks=0).support()
 
 
 def matrix_from_action(monoid, field, d, support, action,

@@ -91,7 +91,7 @@ class Monoid:
         """All elements in canonical order, identity first; finite only."""
         if self.order is None:
             raise NotFinite(f"{self.spec_string()} is infinite")
-        return [self.elem(k) for k in self.element_keys()]
+        return [self.elem(k) for k in range(self.order)]
 
     def __repr__(self):
         return f"<monoid {self.spec_string()}>"
@@ -158,9 +158,6 @@ class TableMonoid(Monoid):
     def identity_key(self):
         return 0
 
-    def element_keys(self):
-        return range(self.order)
-
     def mul_key(self, a, b):
         return self.rows[a][b]
 
@@ -193,9 +190,6 @@ class CyclicMonoid(Monoid):
     def identity_key(self):
         return 0
 
-    def element_keys(self):
-        return range(self.n)
-
     def mul_key(self, a, b):
         return (a + b) % self.n
 
@@ -219,8 +213,6 @@ class CyclicMonoid(Monoid):
 
 class BicyclicMonoid(Monoid):
     """Generators p, q with pq = 1; canonical form q^a p^b."""
-
-    order = None
 
     def __init__(self):
         self._cache = {}
@@ -275,8 +267,6 @@ class BicyclicMonoid(Monoid):
 
 class FreeCommMonoid(Monoid):
     """Free commutative monoid on generators x1..xr; keys are exponent vectors."""
-
-    order = None
 
     def __init__(self, rank):
         if rank < 1:

@@ -52,6 +52,7 @@ from dataclasses import dataclass, replace
 
 from .algebra import mat_from_entries, mat_identity, alg_from_terms
 from .errors import NotFinite, ParseError, ValidationError, _check_space
+from .fields import encode_digits
 from .monoids import canonical_sorted
 
 __all__ = [
@@ -356,9 +357,7 @@ def find_model(system, field, context=None, budget=DEFAULT_SENTENCE_BUDGET,
         ys.append(next(v for v in range(q)
                        if _has_model(xs, ys + [v], pos, neg_eqs, ops, ny)))
     assignment = xs + tuple(ys)
-    index = 0
-    for r in assignment:
-        index = index * q + r
+    index = encode_digits(assignment, q)
 
     rep = check_model(system, field, dict(zip(
         system.var_names, (field.unrank(r) for r in assignment))))
