@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from moca.errors import BudgetExceeded, CarrierMismatch, NotFinite, ParseError, ValidationError
 from moca.algebra import alg_one
-from moca.fields import _MR_BOUND, _extension_tables, _is_prime, field_make, parse_field_spec, rationals, DEFAULT_MODULI, MAX_EXTENSION_ORDER
+from moca.fields import _MR_BOUND, _extension_tables, _is_prime, decode_digits, encode_digits, field_make, parse_field_spec, rationals, DEFAULT_MODULI, MAX_EXTENSION_ORDER
 from moca.monoids import cyclic
 
 
@@ -540,3 +540,12 @@ def test_division_consistency_gf8():
             if y.is_zero():
                 continue
             assert (x / y) * y == x
+
+
+@given(st.integers(2, 300), st.data())
+def test_digit_codec_round_trips(base, data):
+    length = data.draw(st.integers(0, 12))
+    idx = data.draw(st.integers(0, base ** length - 1))
+    assert encode_digits(decode_digits(idx, base, length), base) == idx
+    digits = data.draw(st.lists(st.integers(0, base - 1), max_size=12))
+    assert decode_digits(encode_digits(digits, base), base, len(digits)) == digits

@@ -30,7 +30,7 @@ from moca.monoids import (
     free_commutative,
     product_set,
 )
-from moca.patterns import required_domain, vector_pattern
+from moca.patterns import indicator_pattern, required_domain, vector_pattern
 from moca.randomized import element_pool, random_matrix, random_vector_pattern
 
 GF2 = field_make(2)
@@ -168,6 +168,48 @@ def test_dependence_scan_random_equals_support():
                     padding = [p for p in pool if p not in rule.memory][:2]
                     scan = lca_dependence_scan(rule, candidates=list(rule.memory) + padding)
                     assert scan == a.support()
+
+
+def oracle_dependence_scan(rule, candidates=None):
+    """The probe loop lca_dependence_scan ran before it read the matrix
+    from matrix_from_action: per site, one indicator probe per component
+    until one gets a nonzero response at the identity."""
+    monoid, field, d = rule.monoid, rule.field, rule.d
+    if candidates is None:
+        candidates = rule.memory
+    candidates = canonical_sorted(set(candidates) | set(rule.memory))
+    hits = []
+    for s in candidates:
+        alive = False
+        for i in range(d):
+            probe = indicator_pattern(monoid, field, d, candidates, i, s)
+            vals = lca_apply(rule, probe, (monoid.identity,)).value(monoid.identity)
+            if any(not v.is_zero() for v in vals):
+                alive = True
+                break
+        if alive:
+            hits.append(s)
+    return tuple(hits)
+
+
+def test_dependence_scan_matches_the_probe_loop():
+    rng = random.Random(37)
+    table = random.Random(7).choice(enumerate_monoids(3))
+    for monoid in (bicyclic(), cyclic(3), free_commutative(2), table):
+        pool = element_pool(monoid)
+        for field in (GF2, GF3, GF4, QQ):
+            for d in (1, 2):
+                rules = [rule_from_matrix(mat_zero(field, monoid, d))]
+                rules += [rule_from_matrix(random_matrix(rng, monoid, field, d, pool))
+                          for _ in range(3)]
+                for rule in rules:
+                    padded = pool[1:4]
+                    assert (lca_dependence_scan(rule)
+                            == oracle_dependence_scan(rule))
+                    assert (lca_dependence_scan(rule, candidates=padded)
+                            == oracle_dependence_scan(rule, candidates=padded))
+                    assert (lca_dependence_scan(rule, candidates=iter(pool))
+                            == oracle_dependence_scan(rule, candidates=iter(pool)))
 
 
 def test_compose_matches_sequential_apply():
