@@ -355,7 +355,8 @@ def parse_matrix_text(text, monoid, field):
         cells = ln.split(";")
         if len(cells) != d:
             raise ParseError(f"row has {len(cells)} entries, expected {d}", line=r)
-        rows.append([_on_line(r, parse_alg_literal, c, monoid, field) for c in cells])
+        rows.append([_on_line(r, parse_alg_literal, c.strip(), monoid, field)
+                     for c in cells])
     return AlgMatrix(field, monoid, rows)
 
 

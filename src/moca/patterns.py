@@ -263,7 +263,8 @@ def parse_vector_pattern(text, monoid, field):
     vals = {}
     d = None
     for lineno, site, value in _bindings(text, monoid.parse_element, "site"):
-        vec = tuple(_on_line(lineno, field.parse_literal, part) for part in value.split(","))
+        vec = tuple(_on_line(lineno, field.parse_literal, part.strip())
+                    for part in value.split(","))
         if d is None:
             d = len(vec)
         elif len(vec) != d:
