@@ -15,8 +15,8 @@ monoid beyond that never enters.
 
 If the identity is not a product of two support elements the diagonal
 equations have an empty left side and can never equal 1; they are kept,
-flagged, so the inevitable UNSAT is visibly structural rather than an
-artifact of search.
+and impossibility is read from the empty sum alone, so the inevitable
+UNSAT is visibly structural rather than an artifact of search.
 
 Every monomial pairs one x variable with one y variable, so once the X
 block is fixed both blocks are linear in Y.  The solver enumerates X in
@@ -80,7 +80,10 @@ class Equation:
     label: tuple      # (i, j, element name)
     monomials: tuple  # pairs (x variable index, y variable index)
     rhs: int          # 0 or 1, as a scalar rank
-    impossible: bool = False
+
+    @property
+    def impossible(self):  # an empty sum can never equal 1
+        return not self.monomials and self.rhs == 1
 
 
 @dataclass(frozen=True)
@@ -146,8 +149,8 @@ def build_sentence(monoid, support, d):
         for j in range(d):
             if i == j and not has_ident:
                 label = (i, j, str(ident))
-                equations.append(Equation(label, (), 1, True))
-                negated.append(Equation(label, (), 1, True))
+                equations.append(Equation(label, (), 1))
+                negated.append(Equation(label, (), 1))
             for m in s_square:
                 label = (i, j, str(m))
                 rhs = 1 if (i == j and m == ident) else 0
@@ -515,7 +518,7 @@ def _eq_from_obj(obj):
         if rhs not in (0, 1):
             raise ParseError("equation right side must be 0 or 1")
         return Equation((int(label[0]), int(label[1]), str(label[2])),
-                        tuple(monomials), rhs, bool(obj.get("impossible", False)))
+                        tuple(monomials), rhs)
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed equation object: {e}") from None
 

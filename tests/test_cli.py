@@ -136,6 +136,19 @@ def test_emit_json_round_trip(files):
     assert rc == 1 and "witness index: 9" in out2 and "p^1" in out2
 
 
+def test_solve_ignores_a_lying_impossible_key(files):
+    # impossibility is read from an empty sum, so a file that flags a
+    # satisfiable equation still solves to the least model
+    _, out, _ = run_cli(["sentence", "emit", "--monoid", "bicyclic",
+                         "--support", "p,q", "--dim", "1", "--field", "2",
+                         "--format", "json"])
+    obj = json.loads(out)
+    obj["equations"][0]["impossible"] = True
+    path = files("lie.json", json.dumps(obj))
+    rc, out2, _ = run_cli(["sentence", "solve", "--system", path])
+    assert rc == 1 and "witness index: 9" in out2 and "reason" not in out2
+
+
 def test_psi_inv_recovers(files):
     m = files("M.txt", "2\n1+g ; 0\ng ; 1\n")
     rc, out, _ = run_cli(["psi-inv", "--monoid", "cyclic:2", "--field", "2",

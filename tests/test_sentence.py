@@ -311,6 +311,19 @@ def test_emit_text_frozen():
         "  y[0,0,1]*x[0,0,1] = 1   [0,0,1]\n")
 
 
+def test_unflagged_empty_sum_is_rejected_at_once():
+    # an equation 0 = 1 is impossible whether or not a file says so
+    *_, system = bicyclic_system()
+    obj = json.loads(emit_json(system))
+    obj["equations"][0].update(monomials=[], rhs=1)
+    assert "impossible" not in obj["equations"][0]
+    parsed = parse_system_json(json.dumps(obj))
+    assert parsed.equations[0].impossible
+    res = find_model(parsed, GF2)
+    assert not res.sat and res.eliminated == 0
+    assert res.reason == "identity is not a product of two support elements"
+
+
 def test_emit_text_marks_impossible():
     m = cyclic(3)
     spec, system = build_sentence(m, (m.parse_element("g"),), 1)
@@ -335,8 +348,7 @@ def rename_support(system, mapping):
 
     def fix_eq(eq):
         i, j, m = eq.label
-        return Equation((i, j, mapping.get(m, m)), eq.monomials, eq.rhs,
-                        eq.impossible)
+        return Equation((i, j, mapping.get(m, m)), eq.monomials, eq.rhs)
 
     meta = dict(system.meta)
     meta["support"] = [mapping.get(n, n) for n in meta["support"]]
