@@ -334,20 +334,14 @@ def test_output_does_not_depend_on_the_hash_seed(files, tmp_path):
 
 def test_golden_tables_do_not_depend_on_the_hash_seed():
     # set order over monoid elements may change from one process to the
-    # next, so both golden scripts run in fresh interpreters under two seeds
-    tests = os.path.dirname(os.path.abspath(__file__))
-    src = os.path.dirname(os.path.dirname(moca.__file__))
-    for script, table in (("test_cli_golden.py", "cli_golden.txt"),
-                          ("test_cli_errors.py", "cli_errors.txt")):
-        with open(os.path.join(tests, table), "rb") as fh:
-            want = fh.read()
-        for seed in ("0", "1"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src,
-                       PYTHONIOENCODING="utf-8")
-            proc = subprocess.run([sys.executable, os.path.join(tests, script)],
-                                  capture_output=True, env=env)
-            assert (proc.returncode, proc.stderr) == (0, b""), (script, seed)
-            assert proc.stdout == want, (script, seed)
+    # next, so scripts/check_golden.py runs both golden scripts in fresh
+    # interpreters under two seeds
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run([sys.executable, os.path.join(root, "scripts", "check_golden.py"),
+                           sys.executable], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 and all(line.endswith(": ok") for line in lines), lines
 
 
 def test_enumerate_counts():
