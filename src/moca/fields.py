@@ -20,6 +20,8 @@ field_make returns one object per field, interned by (p) or (p, k,
 normalised modulus), and rationals() is a singleton, so every carrier check
 is `is`; another modulus gives another field.  Primes must be below the
 bound where Miller-Rabin on the first 13 prime bases is exact.
+decode_digits and encode_digits are the one mixed-radix digit codec, most
+significant digit first, for rule tables, configurations and witnesses.
 """
 
 from __future__ import annotations

@@ -51,9 +51,8 @@ def element_pool(monoid, max_exponent=2):
 
 
 def random_alg_elem(rng, monoid, field, pool):
-    """Zero to two terms on `pool` elements with random_scalar coefficients."""
     pairs = [(rng.choice(pool), random_scalar(rng, field))
-             for _ in range(rng.randrange(3))]
+             for _ in range(rng.randrange(3))]  # zero to two terms
     return alg_from_terms(field, monoid, pairs)
 
 
