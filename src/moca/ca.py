@@ -137,30 +137,17 @@ def minimal_memory(rule):
     different outputs.  Dropped coordinates are filled with symbol 0 when
     building the reduced table; the reduced rule is extensionally equal.
     """
-    a = rule.alphabet.size
-    k = len(rule.memory)
-    keep = []
-    for pos in range(k):
-        stride = a ** (k - 1 - pos)
-        dependent = False
-        for idx in range(len(rule.table)):
-            if (idx // stride) % a != 0:
-                continue
-            base = rule.table[idx]
-            if any(rule.table[idx + v * stride] != base for v in range(1, a)):
-                dependent = True
-                break
-        if dependent:
-            keep.append(pos)
-    mem = tuple(rule.memory[i] for i in keep)
-    table = []
-    for idx in range(a ** len(mem)):
-        digits = decode_digits(idx, a, len(mem))
-        full = [0] * k
-        for j, posn in enumerate(keep):
-            full[posn] = digits[j]
-        table.append(rule.local(full))
-    return mem, CARule(rule.monoid, rule.alphabet, mem, tuple(table))
+    a, k, table = rule.alphabet.size, len(rule.memory), rule.table
+    patterns = [decode_digits(idx, a, k) for idx in range(len(table))]
+    # keep pos iff some output changes when the digit at pos goes to 0
+    keep = [pos for pos in range(k)
+            if any(out != table[encode_digits(ds[:pos] + [0] + ds[pos + 1:], a)]
+                   for ds, out in zip(patterns, table) if ds[pos])]
+    mem = tuple(rule.memory[pos] for pos in keep)
+    # the patterns that are 0 off `keep` run through the kept digits in order
+    reduced = tuple(out for ds, out in zip(patterns, table)
+                    if not any(ds[pos] for pos in range(k) if pos not in keep))
+    return mem, CARule(rule.monoid, rule.alphabet, mem, reduced)
 
 
 def _config_elements(monoid, alphabet, config_budget):
@@ -170,7 +157,7 @@ def _config_elements(monoid, alphabet, config_budget):
         raise NotFinite(f"{monoid.spec_string()} is infinite")
     total = _check_space(alphabet.size, monoid.order, config_budget,
                          "configuration space")
-    return tuple(monoid.elements()), total
+    return monoid.element_tuple, total
 
 
 def encode_config(pattern):

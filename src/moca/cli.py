@@ -25,6 +25,7 @@ certificate failed), 2 usage, input, or budget errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -458,6 +459,7 @@ def cmd_enumerate_monoids(args):
 
 # -------------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser():
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
@@ -599,7 +601,7 @@ def _build_parser():
 
 def main(argv=None):
     try:
-        # a ParseError raised by a `type=` converter passes through argparse
+        # one parser per process, built on first call; `type=` ParseErrors pass through
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except MocaError as e:

@@ -14,6 +14,7 @@ say) is a new monoid, and mixing the two raises CarrierMismatch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -92,6 +93,11 @@ class Monoid:
         if self.order is None:
             raise NotFinite(f"{self.spec_string()} is infinite")
         return [self.elem(k) for k in range(self.order)]
+
+    @functools.cached_property
+    def element_tuple(self):
+        """elements() as a tuple, built once per monoid; finite only."""
+        return tuple(self.elements())
 
     def __repr__(self):
         return f"<monoid {self.spec_string()}>"

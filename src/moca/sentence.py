@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dataclass_field, replace
 
 from .algebra import mat_from_entries, mat_identity, alg_from_terms
 from .errors import NotFinite, ParseError, ValidationError, _check_space
@@ -101,6 +101,8 @@ class PolySystem:
     equations: tuple
     negated: tuple
     meta: dict
+    # (monoid, support, d) if build_sentence made it; None on a copy or a parsed one
+    _source: tuple | None = dataclass_field(default=None, init=False, compare=False, repr=False)
 
     @property
     def nvars(self):
@@ -167,6 +169,7 @@ def build_sentence(monoid, support, d):
                         tuple((i, i, str(ident)) for i in range(d)))
     system = PolySystem(x_names + y_names, tuple(equations), tuple(negated),
                         {"d": d, "support": list(names), "field": None})
+    object.__setattr__(system, "_source", (monoid, support, d))
     return spec, system
 
 
@@ -279,8 +282,12 @@ def _normal_blocks(q, d, ns, ops):
 
 def _is_sentence(system, context):
     """Is the system the compiled sentence of `context` at its dimension?"""
+    monoid, support = context
+    d = system.meta["d"]
+    if type(d) is int and system._source == (monoid, tuple(support), d):
+        return True  # build_sentence's own result for this context
     try:
-        _, built = build_sentence(*context, system.meta["d"])
+        _, built = build_sentence(monoid, support, d)
     except ValidationError:
         return False
     return (built.var_names, built.equations, built.negated) == \
@@ -295,6 +302,10 @@ def find_model(system, field, context=None, budget=DEFAULT_SENTENCE_BUDGET,
     when given, is a pair (monoid, support elements) matching the system;
     if the system equals build_sentence(*context, d), the search is
     normalised as the module docstring sets out, with the same least model.
+    A system that build_sentence returned for this monoid, support (in this
+    order) and d = meta["d"] is recognised without a second compile; any
+    other (a parsed `--system` file, a `replace`d or `with_field` copy, a
+    different context) is compiled again and compared in full.
     The lex scan then runs first over as many X blocks as there are orbits,
     so a model found early costs no more than the plain scan.
 

@@ -445,6 +445,34 @@ def test_minimal_memory_preserves_map(tabidx, k):
     assert mem3 == mem2 and reduced2.table == reduced.table
 
 
+def oracle_kept_memory(rule):
+    """Memory positions where two patterns differing there alone differ in
+    output, by pairs of digit tuples; no index arithmetic."""
+    a, k = rule.alphabet.size, len(rule.memory)
+    out = dict(zip(itertools.product(range(a), repeat=k), rule.table))
+    return tuple(rule.memory[pos] for pos in range(k)
+                 if any(out[ds] != out[ds[:pos] + (v,) + ds[pos + 1:]]
+                        for ds in out for v in range(a)))
+
+
+def test_minimal_memory_matches_the_oracle_on_small_tables():
+    for order in (1, 2, 3):
+        for m in enumerate_monoids(order):
+            els = m.elements()
+            for table in all_rule_tables(2, order):
+                rule = CARule(m, A2, els, table)
+                mem, reduced = minimal_memory(rule)
+                assert mem == reduced.memory == oracle_kept_memory(rule)
+                assert full_map(reduced) == full_map(rule)
+
+
+def test_config_elements_are_listed_once_per_monoid():
+    m = cyclic(3)
+    els, total = ca._config_elements(m, A2, 8)
+    assert els == tuple(m.elements()) and total == 8
+    assert ca._config_elements(m, A2, 8)[0] is els
+
+
 def test_injectivity_witness_least_pair():
     m = cyclic(2)
     r = constant_rule(m, A2, 0)

@@ -239,6 +239,10 @@ def test_sentence_solve_parses_monoid_and_field_once(monkeypatch, files):
 
     for name in ("parse_monoid_spec", "parse_field_spec"):
         monkeypatch.setattr(cli, name, counted(name))
+    # the process-wide parser holds the real converters: install one built
+    # with the counted ones, which monkeypatch takes out again
+    fresh = cli._build_parser.__wrapped__()
+    monkeypatch.setattr(cli, "_build_parser", lambda: fresh)
     for argv in (["--monoid", "bicyclic", "--support", "p,q", "--dim", "1"],
                  ["--system", sys_path, "--monoid", "bicyclic"]):
         calls.clear()
@@ -247,6 +251,66 @@ def test_sentence_solve_parses_monoid_and_field_once(monkeypatch, files):
         assert rc == 1
         assert json.loads(out)["inputs"]["monoid"] == "bicyclic"
         assert sorted(calls) == ["parse_field_spec", "parse_monoid_spec"]
+
+
+def run_cli_exiting(argv):
+    """run_cli, with an argparse exit read as the code it exits with."""
+    out = io.StringIO()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_carries_no_state():
+    solve = ["sentence", "solve", "--monoid", "bicyclic", "--support", "p,q",
+             "--dim", "1", "--field", "3", "--format", "json"]
+    first = run_cli_exiting(solve)
+    assert first[0] == 1 and json.loads(first[1])["verdict"] == "SAT"
+    rc, out, err = run_cli_exiting(["sentence", "solve", "--dim", "two"])
+    assert (rc, out) == (2, "") and "invalid int value: 'two'" in err
+    rc, out, err = run_cli_exiting(["mul", "--monoid", "cyclic:x", "g", "g"])
+    assert (rc, out) == (2, "") and err.startswith("error: ")
+    rc, out, err = run_cli_exiting(["--help"])
+    assert (rc, err) == (0, "") and out.startswith("usage: moca")
+    assert run_cli_exiting(solve) == first
+
+
+def test_parser_is_built_on_the_first_call_not_at_import():
+    src = os.path.dirname(os.path.dirname(moca.__file__))
+    code = ("import moca.cli as cli; n = cli._build_parser.cache_info().currsize; "
+            "cli.main(['mul', '--monoid', 'cyclic:2', 'g', 'g']); "
+            "cli.main(['mul', '--monoid', 'cyclic:2', 'g', '1']); "
+            "print(n, cli._build_parser.cache_info())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == [
+        "1", "g", "0 CacheInfo(hits=1, misses=1, maxsize=None, currsize=1)", ""]
+
+
+def test_flags_built_solve_compiles_the_sentence_once(monkeypatch):
+    import moca.cli as cli
+    import moca.sentence as sentence
+    real = sentence.build_sentence
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    # cli holds its own name for build_sentence; find_model reads the module's
+    monkeypatch.setattr(sentence, "build_sentence", counted)
+    monkeypatch.setattr(cli, "build_sentence", counted)
+    for d in (1, 2):
+        calls.clear()
+        rc, out, _ = run_cli(["sentence", "solve", "--monoid", "bicyclic",
+                              "--support", "p,q", "--dim", str(d), "--field", "2"])
+        assert rc == 1 and "verdict: SAT" in out
+        assert len(calls) == 1
 
 
 def test_solve_malformed_system_meta_exits_two(files):

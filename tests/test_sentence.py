@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,8 @@ from moca.cli import main
 import moca.sentence as sentence
 from moca.errors import BudgetExceeded, NotFinite, ParseError, ValidationError, _check_space
 from moca.fields import decode_digits, field_make, rationals
-from moca.monoids import bicyclic, cyclic, enumerate_monoids, free_commutative, table_monoid
+from moca.monoids import (TableMonoid, bicyclic, cyclic, enumerate_monoids, free_commutative,
+                          table_monoid)
 from moca.randomized import element_pool
 from moca.sentence import (
     Equation,
@@ -695,3 +697,78 @@ def test_edited_system_file_takes_the_plain_scan(tmp_path, monkeypatch):
     # the normalised search would get it wrong
     monkeypatch.setattr(sentence, "_is_sentence", lambda *args: True)
     assert not find_model(edited, GF2, context=(b, support)).sat
+
+
+def _full_comparison(system, context):
+    """The sentence gate without provenance: compile again and compare."""
+    try:
+        _, built = build_sentence(*context, system.meta["d"])
+    except ValidationError:
+        return False
+    return (built.var_names, built.equations, built.negated) == \
+        (system.var_names, system.equations, system.negated)
+
+
+def _outcome(system, field, context):
+    try:
+        return find_model(system, field, context=context)
+    except ValidationError as e:
+        return type(e), str(e)
+
+
+def test_sentence_recognition_cannot_be_fooled(monkeypatch):
+    b = bicyclic()
+    support = (b.p, b.q)
+    c2 = cyclic(2)
+    z3 = (("e", "a", "b"), [[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    interned, copy = table_monoid(*z3), TableMonoid(*z3)  # equal, not the same
+
+    def pair(m):
+        return m.parse_element("a"), m.parse_element("b")
+
+    def fresh(d):
+        return build_sentence(b, support, d)[1]
+
+    def mutated_d(d):
+        system = fresh(d)
+        system.meta["d"] = 3 - d
+        return system
+
+    variants = [  # (system, context, full comparison's verdict)
+        (fresh(1), (b, support[::-1]), False),
+        (fresh(1), (c2, c2.elements()), False),
+        (build_sentence(interned, pair(interned), 1)[1], (copy, pair(copy)), True),
+        (replace(fresh(2), equations=fresh(2).negated), (b, support), False),
+        (mutated_d(1), (b, support), False),
+        (mutated_d(2), (b, support), False),
+        (parse_system_json(emit_json(fresh(2))), (b, support), True),
+        (with_field(fresh(2), "2"), (b, support), True),
+    ]
+    compiles = []
+    real = sentence.build_sentence
+
+    def counted(*args):
+        compiles.append(args)
+        return real(*args)
+
+    for system, context, verdict in variants:
+        monkeypatch.setattr(sentence, "build_sentence", counted)
+        compiles.clear()
+        assert sentence._is_sentence(system, context) is verdict
+        assert len(compiles) == 1  # compiled again and compared in full
+        monkeypatch.undo()
+        for field in (GF2, GF3) if system.nvars < 16 else (GF2,):
+            got = _outcome(system, field, context)
+            monkeypatch.setattr(sentence, "_is_sentence", _full_comparison)
+            assert got == _outcome(system, field, context)
+            monkeypatch.undo()
+    # only build_sentence's own result, against its own context, skips it
+    for d in (1, 2):
+        system = fresh(d)
+        monkeypatch.setattr(sentence, "build_sentence", counted)
+        compiles.clear()
+        assert sentence._is_sentence(system, (b, list(support)))
+        assert compiles == []
+        monkeypatch.undo()
+        assert find_model(system, GF2, context=(b, support)) == \
+            find_model(parse_system_json(emit_json(system)), GF2, context=(b, support))
