@@ -13,10 +13,15 @@ first evaluates the inner rule at every outer memory site.
 
 Global maps read cached plans of local-index columns (_plan); the scans
 add packed lane weights instead (_bijections).
+
+A rule maps constant configurations to constants, tau(x)(m) = table[x *
+(a^k - 1) / (a - 1)] at every site m, so an injective rule permutes the
+alphabet on these diagonal entries; the scans skip every other table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import struct
@@ -31,18 +36,14 @@ from .patterns import Pattern, SymbolAlphabet
 
 __all__ = [
     "CARule",
-    "identity_rule",
-    "constant_rule",
     "ca_apply",
     "compose_rules",
     "minimal_memory",
     "full_map",
     "decode_config",
-    "encode_config",
     "injectivity",
     "surjectivity",
     "left_inverse",
-    "all_rule_tables",
     "surjunctivity_scan",
     "direct_finiteness_scan",
     "parse_rule_text",
@@ -72,15 +73,21 @@ class CARule:
         object.__setattr__(self, "table", tab)
         if len({e.key for e in mem}) != len(mem):
             raise ValidationError("memory set has repeated canonical forms", witness=mem)
-        for e in mem:
-            if e.monoid is not self.monoid:
-                raise CarrierMismatch("memory element from a different monoid")
+        if any(e.monoid is not self.monoid for e in mem):
+            raise CarrierMismatch("memory element from a different monoid")
         a = self.alphabet.size
         if len(tab) != a ** len(mem):
             raise ValidationError(
                 f"table has {len(tab)} entries, expected {a ** len(mem)}")
         for v in tab:
             self.alphabet.check(v)
+
+    @classmethod
+    def _trusted(cls, monoid, alphabet, memory, table):
+        """A rule from tuples derived from checked rules, not checked again."""
+        rule = object.__new__(cls)
+        rule.__dict__.update(monoid=monoid, alphabet=alphabet, memory=memory, table=table)
+        return rule
 
     def local(self, digits):
         """Evaluate the local map on symbols listed in memory order."""
@@ -89,14 +96,6 @@ class CARule:
     def __repr__(self):
         mem = ",".join(str(e) for e in self.memory)
         return f"CARule(|A|={self.alphabet.size}, S=[{mem}])"
-
-
-def identity_rule(monoid, alphabet):
-    return CARule(monoid, alphabet, (monoid.identity,), tuple(range(alphabet.size)))
-
-
-def constant_rule(monoid, alphabet, sym):
-    return CARule(monoid, alphabet, (), (sym,))
 
 
 def ca_apply(rule, pattern, window):
@@ -123,11 +122,16 @@ def compose_rules(outer, inner, config_budget=DEFAULT_CONFIG_BUDGET):
     if outer.alphabet != inner.alphabet:
         raise CarrierMismatch("composing rules over different alphabets")
     a = outer.alphabet.size
-    mem = product_set(inner.memory, outer.memory) if inner.memory and outer.memory else ()
+    mem = _product_memory(inner.memory, outer.memory)
     size = _check_space(a, len(mem), config_budget, "composite rule table")
     # outer's local index at each composite pattern, then its output there
     outs = _image(_plan(a, inner.memory, outer.memory, mem), inner.table, a, size)
-    return CARule(outer.monoid, outer.alphabet, mem, tuple(map(outer.table.__getitem__, outs)))
+    return CARule._trusted(outer.monoid, outer.alphabet, mem,
+                           tuple(map(outer.table.__getitem__, outs)))
+
+
+# the composite memories of compose_rules, cached as its plans are
+_product_memory = functools.lru_cache(maxsize=32)(product_set)
 
 
 def minimal_memory(rule):
@@ -138,16 +142,14 @@ def minimal_memory(rule):
     building the reduced table; the reduced rule is extensionally equal.
     """
     a, k, table = rule.alphabet.size, len(rule.memory), rule.table
-    patterns = [decode_digits(idx, a, k) for idx in range(len(table))]
-    # keep pos iff some output changes when the digit at pos goes to 0
-    keep = [pos for pos in range(k)
-            if any(out != table[encode_digits(ds[:pos] + [0] + ds[pos + 1:], a)]
-                   for ds, out in zip(patterns, table) if ds[pos])]
+    strides = [a ** (k - 1 - pos) for pos in range(k)]
+    # keep pos iff zeroing its digit, li // st % a, changes some output
+    keep = [pos for pos, st in enumerate(strides)
+            if any(out != table[li - li // st % a * st] for li, out in enumerate(table))]
     mem = tuple(rule.memory[pos] for pos in keep)
-    # the patterns that are 0 off `keep` run through the kept digits in order
-    reduced = tuple(out for ds, out in zip(patterns, table)
-                    if not any(ds[pos] for pos in range(k) if pos not in keep))
-    return mem, CARule(rule.monoid, rule.alphabet, mem, reduced)
+    # the patterns that are 0 off `keep`, with the kept digits in lex order
+    reduced = tuple(table[li] for li in _digit_sums([strides[pos] for pos in keep], a))
+    return mem, CARule._trusted(rule.monoid, rule.alphabet, mem, reduced)
 
 
 def _config_elements(monoid, alphabet, config_budget):
@@ -158,12 +160,6 @@ def _config_elements(monoid, alphabet, config_budget):
     total = _check_space(alphabet.size, monoid.order, config_budget,
                          "configuration space")
     return monoid.element_tuple, total
-
-
-def encode_config(pattern):
-    """Index of a fully defined symbol pattern over a finite monoid."""
-    return encode_digits(map(pattern.value, pattern.monoid.elements()),
-                         pattern.alphabet.size)
 
 
 def decode_config(monoid, alphabet, idx):
@@ -247,12 +243,10 @@ def injectivity(rule, config_budget=DEFAULT_CONFIG_BUDGET):
 
 def surjectivity(rule, config_budget=DEFAULT_CONFIG_BUDGET):
     fmap = full_map(rule, config_budget)
-    image = set(fmap)
-    for idx in range(len(fmap)):
-        if idx not in image:
-            return SurjectivityVerdict(
-                False, decode_config(rule.monoid, rule.alphabet, idx))
-    return SurjectivityVerdict(True, None)
+    missed = next(itertools.filterfalse(set(fmap).__contains__, range(len(fmap))), None)
+    if missed is None:
+        return SurjectivityVerdict(True, None)
+    return SurjectivityVerdict(False, decode_config(rule.monoid, rule.alphabet, missed))
 
 
 def left_inverse(rule, config_budget=DEFAULT_CONFIG_BUDGET):
@@ -269,8 +263,8 @@ def left_inverse(rule, config_budget=DEFAULT_CONFIG_BUDGET):
         raise ValidationError("rule is not injective", witness=inj.witness)
     a = rule.alphabet.size
     top = a ** (len(els) - 1)  # stride of the identity site, listed first
-    return CARule(rule.monoid, rule.alphabet, els,
-                  tuple(pre // top % a for pre in _inverse_map(fmap)))
+    return CARule._trusted(rule.monoid, rule.alphabet, els,
+                           tuple(pre // top % a for pre in _inverse_map(fmap)))
 
 
 def _inverse_map(fmap):
@@ -279,17 +273,6 @@ def _inverse_map(fmap):
     for c, out in enumerate(fmap):
         inv[out] = c
     return tuple(inv)
-
-
-def all_rule_tables(alphabet_size, memory_len, rule_budget=DEFAULT_RULE_BUDGET):
-    """All local tables over a given memory length, in lexicographic order.
-
-    The rule budget is checked on the call, before the first table exists.
-    """
-    a = alphabet_size
-    length = a ** memory_len
-    count = _check_space(a, length, rule_budget, "rule space")
-    return (tuple(decode_digits(idx, a, length)) for idx in range(count))
 
 
 @dataclass(frozen=True)
@@ -325,11 +308,13 @@ def _bijections(monoid, alphabet, memory, rule_budget, config_budget):
     table), in table order; distinct tables differ at the identity site.
 
     Injective = surjective = bijective here.  A rule's map in packed lanes
-    is sum_li table[li] * W[li], W[li] the packed image of unit table li, so
-    the tables run in lex order as a meet in the middle (leading-digit sum
-    plus held trailing-digit sum), and one set of the lanes, in C, decides
-    each rule.  Both budgets are checked before any plan or sum exists,
-    configuration space first so that a^(a^|S|) is cheap to compute."""
+    is sum_li table[li] * W[li], W[li] the packed image of unit table li,
+    summed as a meet in the middle (_permuting_sums); one set of the lanes,
+    in C, decides each rule.  A rule maps the constant configuration x to
+    the constant table[x * (a^k - 1) / (a - 1)], so only tables whose
+    diagonal entries permute the alphabet can be injective, and only their
+    lanes are packed.  Both budgets are checked before any plan or sum
+    exists, configuration space first so that a^(a^|S|) is cheap."""
     els, configs = _config_elements(monoid, alphabet, config_budget)
     memory = els if memory is None else tuple(memory)
     a, length = alphabet.size, alphabet.size ** len(memory)
@@ -342,16 +327,36 @@ def _bijections(monoid, alphabet, memory, rule_budget, config_budget):
     units = ((0,) * li + (1,) + (0,) * (length - 1 - li) for li in range(length))
     weights = [int.from_bytes(lanes.pack(*_image(columns, u, a, configs)), "little")
                for u in units]
-    high = length - _low_digits(a, length, lanes.size)
-    low_sums = list(_digit_sums(weights[high:], a))
     bijections = {}
-    for hi, high_sum in enumerate(_digit_sums(weights[:high], a)):
-        for lo, low_sum in enumerate(low_sums):
-            fmap = lanes.unpack((high_sum + low_sum).to_bytes(lanes.size, "little"))
-            if len(set(fmap)) == configs:
-                index = hi * len(low_sums) + lo
-                bijections[fmap] = (index, tuple(decode_digits(index, a, length)))
+    for index, total in _permuting_sums(weights, a, len(memory),
+                                        length - _low_digits(a, length, lanes.size)):
+        packed = total.to_bytes(lanes.size, "little")
+        # one byte per lane: the bytes are the map, so unpack none
+        fmap = packed if code == "B" else lanes.unpack(packed)
+        if len(set(fmap)) == configs:
+            bijections[tuple(fmap)] = (index, tuple(decode_digits(index, a, length)))
     return memory, count, bijections
+
+
+def _permuting_sums(weights, a, k, high):
+    """(table index, sum_li table[li] * weights[li]) for each table over a
+    memory of k sites whose diagonal entries permute the alphabet, in table
+    (lex) order.  Each sum over the `high` leading digits meets only the
+    held trailing-digit sums whose diagonal digits complete its own to a
+    permutation; with fewer than a distinct diagonal entries none does."""
+    diag = {encode_digits([x] * k, a) for x in range(a)}
+    # strides of the diagonal digits in each half's digit-tuple index
+    high_strides = [a ** (high - 1 - li) for li in diag if li < high]
+    low_strides = [a ** (len(weights) - 1 - li) for li in diag if li >= high]
+    completes = {}  # distinct low diagonal digits -> [(lo, low sum)] in lo order
+    for lo, low_sum in enumerate(_digit_sums(weights[high:], a)):
+        vals = frozenset(lo // st % a for st in low_strides)
+        if len(vals) == len(low_strides):
+            completes.setdefault(vals, []).append((lo, low_sum))
+    symbols, lows = frozenset(range(a)), a ** (len(weights) - high)
+    for hi, high_sum in enumerate(_digit_sums(weights[:high], a)):
+        for lo, low_sum in completes.get(symbols - {hi // st % a for st in high_strides}, ()):
+            yield hi * lows + lo, high_sum + low_sum
 
 
 def surjunctivity_scan(monoid, alphabet, memory=None,
@@ -390,8 +395,7 @@ def direct_finiteness_scan(monoid, alphabet, memory=None,
     identity = tuple(range(alphabet.size ** monoid.order))
     failures = []
     for (si, sigma), (ti, tau) in found:
-        pair = (CARule(monoid, alphabet, memory, sigma),
-                CARule(monoid, alphabet, memory, tau))
+        pair = tuple(CARule._trusted(monoid, alphabet, memory, t) for t in (sigma, tau))
         if any(full_map(compose_rules(*rules, config_budget),
                         config_budget) != identity
                for rules in (pair, pair[::-1])):
@@ -445,10 +449,6 @@ def parse_rule_text(text, monoid):
 
 
 def serialize_rule(rule):
-    lines = [f"alphabet: {rule.alphabet.size}"]
-    lines.append("memory: " + " ".join(str(e) for e in rule.memory))
-    if rule.alphabet.size > 10:
-        lines.append("table: " + ",".join(str(v) for v in rule.table))
-    else:
-        lines.append("table: " + "".join(str(v) for v in rule.table))
-    return "\n".join(lines) + "\n"
+    sep = "," if rule.alphabet.size > 10 else ""
+    return (f"alphabet: {rule.alphabet.size}\nmemory: {' '.join(map(str, rule.memory))}\n"
+            f"table: {sep.join(map(str, rule.table))}\n")

@@ -10,15 +10,11 @@ from hypothesis import strategies as st
 
 from moca.ca import (
     CARule,
-    all_rule_tables,
     ca_apply,
     compose_rules,
-    constant_rule,
     decode_config,
     direct_finiteness_scan,
-    encode_config,
     full_map,
-    identity_rule,
     injectivity,
     left_inverse,
     minimal_memory,
@@ -28,13 +24,34 @@ from moca.ca import (
     surjunctivity_scan,
 )
 import moca.ca as ca
-from moca.errors import BudgetExceeded, DomainError, NotFinite, ParseError, ValidationError
-from moca.fields import decode_digits
+from moca.errors import (BudgetExceeded, CarrierMismatch, DomainError, NotFinite, ParseError,
+                         ValidationError)
+from moca.fields import decode_digits, encode_digits
 from moca.monoids import bicyclic, cyclic, enumerate_monoids, product_set
 from moca.patterns import Pattern, SymbolAlphabet
 
+A1 = SymbolAlphabet(1)
 A2 = SymbolAlphabet(2)
 A3 = SymbolAlphabet(3)
+
+
+def identity_rule(monoid, alphabet):
+    return CARule(monoid, alphabet, (monoid.identity,), tuple(range(alphabet.size)))
+
+
+def constant_rule(monoid, alphabet, sym):
+    return CARule(monoid, alphabet, (), (sym,))
+
+
+def all_rule_tables(alphabet_size, memory_len):
+    """All local tables over a given memory length, in lexicographic order."""
+    return itertools.product(range(alphabet_size), repeat=alphabet_size ** memory_len)
+
+
+def encode_config(pattern):
+    """Index of a fully defined symbol pattern over a finite monoid."""
+    return encode_digits(map(pattern.value, pattern.monoid.elements()),
+                         pattern.alphabet.size)
 
 
 def oracle_full_map(rule):
@@ -140,13 +157,25 @@ def random_rule(rng, monoid, alphabet, memory):
 
 
 def test_rule_validation():
-    m = cyclic(2)
-    with pytest.raises(ValidationError):
-        CARule(m, A2, (m.identity, m.identity), (0, 0, 0, 0))
-    with pytest.raises(ValidationError):
-        CARule(m, A2, (m.identity,), (0, 1, 0))
-    with pytest.raises(ValidationError):
-        CARule(m, A2, (m.identity,), (0, 2))
+    # the public constructor and the rule file reader keep every check
+    m, other = cyclic(2), cyclic(3)
+    one = (m.identity,)
+    bad = [((m, A2, one, (0, 2)), ValidationError, "symbol 2 outside alphabet of size 2"),
+           ((m, A2, one * 2, (0,) * 4), ValidationError,
+            "memory set has repeated canonical forms"),
+           ((m, A2, one, (0, 1, 0)), ValidationError, "table has 3 entries, expected 2"),
+           ((m, A2, (other.identity,), (0, 1)), CarrierMismatch,
+            "memory element from a different monoid")]
+    for args, error, message in bad:
+        with pytest.raises(error) as exc:
+            CARule(*args)
+        assert str(exc.value) == message
+    for text, message in [("memory: 1\ntable: 02", "symbol 2 outside alphabet of size 2"),
+                          ("memory: 1 1\ntable: 0000", "memory set has repeated canonical forms"),
+                          ("memory: 1\ntable: 010", "table has 3 entries, expected 2")]:
+        with pytest.raises(ParseError) as exc:
+            parse_rule_text("alphabet: 2\n" + text + "\n", m)
+        assert str(exc.value) == message
 
 
 def test_identity_rule_is_identity():
@@ -182,16 +211,23 @@ def test_full_map_matches_oracle_random():
 
 
 def test_packed_scans_match_old_kernel_small_tables():
-    # every table monoid of order <= 3 at alphabets 2 and 3, within budget
+    # every table monoid of order <= 3 at alphabets 1, 2 and 3, within
+    # budget, and with the empty memory; in both the diagonal is one entry
     for n in (1, 2, 3):
         for m in enumerate_monoids(n):
+            assert_scans_match_oracle(m, A1)
             assert_scans_match_oracle(m, A2)
+            assert_scans_match_oracle(m, A2, ())
             if n < 3:
                 assert_scans_match_oracle(m, A3)
             else:
                 with pytest.raises(BudgetExceeded) as exc:
                     surjunctivity_scan(m, A3)
                 assert str(exc.value) == "rule space of size 3^27 exceeds budget 65536"
+    # one symbol: one rule, bijective; the empty memory at a >= 2: constant
+    # rules, none injective
+    assert surjunctivity_scan(cyclic(3), A1).injective == 1
+    assert surjunctivity_scan(cyclic(3), A3, memory=()).injective == 0
 
 
 def test_packed_scans_match_old_kernel_memory_subsets():
@@ -199,12 +235,89 @@ def test_packed_scans_match_old_kernel_memory_subsets():
         els = m.elements()
         for k in range(len(els)):
             for mem in itertools.combinations(els, k):
+                assert_scans_match_oracle(m, A1, mem)
                 assert_scans_match_oracle(m, A2, mem)
                 if k < 2:
                     assert_scans_match_oracle(m, A3, mem)
     c4 = cyclic(4)
     g = c4.parse_element("g")
     assert_scans_match_oracle(c4, A3, (g, c4.identity))
+
+
+def small_scan_cases():
+    """(monoid, alphabet, memory): every table monoid of order <= 3 and every
+    memory subset of cyclic:3, at alphabets 1 and 2, and 3 where the rule
+    space is at most 3^9."""
+    c3 = cyclic(3)
+    cases = [(m, A, None) for n in (1, 2, 3) for m in enumerate_monoids(n)
+             for A in ((A1, A2, A3) if n < 3 else (A1, A2))]
+    return cases + [(c3, A, mem) for k in range(4)
+                    for mem in itertools.combinations(c3.elements(), k)
+                    for A in ((A1, A2, A3) if k < 2 else (A1, A2))]
+
+
+def diagonal_permutes(table, a, k):
+    """Do the entries at the constant local patterns permute the alphabet?"""
+    return sorted(table[sum(x * a ** j for j in range(k))] for x in range(a)) == list(range(a))
+
+
+def test_prune_skips_only_non_injective_tables(monkeypatch):
+    # the scans pack exactly the tables whose diagonal permutes the
+    # alphabet; each table they skip collides two configurations
+    real, packed = ca._permuting_sums, []
+
+    def record(*args):
+        for index, total in real(*args):
+            packed.append(index)
+            yield index, total
+
+    monkeypatch.setattr(ca, "_permuting_sums", record)
+    skipped = 0
+    for monoid, alphabet, memory in small_scan_cases():
+        packed.clear()
+        mem = surjunctivity_scan(monoid, alphabet, memory=memory).extra["memory"]
+        a, k = alphabet.size, len(mem)
+        assert packed == sorted(packed)
+        packed_set = set(packed)
+        for index, table in enumerate(all_rule_tables(a, k)):
+            assert (index in packed_set) == diagonal_permutes(table, a, k)
+            if index not in packed_set:
+                fmap = oracle_full_map(CARule(monoid, alphabet, mem, table))
+                assert len(set(fmap)) < len(fmap)
+                skipped += 1
+    assert skipped > 10 ** 4
+
+
+def assert_checked(rule):
+    """A rule the library built equals the one the validating constructor
+    builds from its parts."""
+    assert type(rule.memory) is tuple and type(rule.table) is tuple
+    assert rule == CARule(rule.monoid, rule.alphabet, rule.memory, rule.table)
+
+
+def test_rules_the_library_builds_pass_the_checks(monkeypatch):
+    real, composed = ca.compose_rules, []
+
+    def record(outer, inner, *args):
+        comp = real(outer, inner, *args)
+        composed.extend((outer, inner, comp))
+        return comp
+
+    monkeypatch.setattr(ca, "compose_rules", record)
+    for monoid, alphabet, memory in small_scan_cases():
+        composed.clear()
+        ss = surjunctivity_scan(monoid, alphabet, memory=memory)
+        dfs = direct_finiteness_scan(monoid, alphabet, memory=memory)
+        # the re-check composes each pair both ways
+        assert dfs.ok and len(composed) == 6 * dfs.extra["one_sided_identities"]
+        for rule in composed:
+            assert_checked(rule)
+        for table in ss.extra["injective_tables"]:
+            rule = CARule(monoid, alphabet, ss.extra["memory"], table)
+            sigma = left_inverse(rule)
+            for built in (sigma, record(sigma, rule), minimal_memory(rule)[1],
+                          minimal_memory(sigma)[1]):
+                assert_checked(built)
 
 
 def record_lane_formats(monkeypatch):
@@ -693,13 +806,6 @@ def test_config_budget_fires_before_the_element_list(monkeypatch):
                                   "exceeds budget 1048576")
     with pytest.raises(NotFinite):
         left_inverse(identity_rule(bicyclic(), A2))
-
-
-def test_all_rule_tables_order():
-    tables = list(all_rule_tables(2, 1))
-    assert tables == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    with pytest.raises(BudgetExceeded):
-        list(all_rule_tables(2, 3, rule_budget=100))
 
 
 def test_rule_file_roundtrip():
