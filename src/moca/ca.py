@@ -159,7 +159,7 @@ def _config_elements(monoid, alphabet, config_budget):
         raise NotFinite(f"{monoid.spec_string()} is infinite")
     total = _check_space(alphabet.size, monoid.order, config_budget,
                          "configuration space")
-    return monoid.element_tuple, total
+    return monoid.elements(), total
 
 
 def decode_config(monoid, alphabet, idx):
@@ -413,8 +413,8 @@ def parse_rule_text(text, monoid):
         table: 0110
 
     The table lists outputs in mixed-radix order of the memory symbols,
-    first memory site most significant.  Alphabets larger than 10 use
-    comma-separated symbols on the table line.
+    first memory site most significant.  Above 10 symbols the table line is
+    always comma-separated, so there `10` is one entry.
     """
     got = {}
     for lineno, line in _content_lines(text):
@@ -431,19 +431,19 @@ def parse_rule_text(text, monoid):
                 raise ParseError("bad alphabet size", line=lineno) from None
         elif key == "memory":
             got[key] = tuple(monoid.parse_element(t) for t in body.split())
-        elif "," in body:
-            try:
-                got[key] = tuple(int(t) for t in body.split(","))
-            except ValueError:
-                raise ParseError("bad table entry", line=lineno) from None
         else:
-            if not body.isdigit() and body != "":
-                raise ParseError(f"bad table string {body!r}", line=lineno)
-            got[key] = tuple(int(ch) for ch in body)
+            got[key] = lineno, body
     if len(got) != 3:
         raise ParseError("rule file needs alphabet, memory, and table lines")
+    # read once the alphabet is known: above 10 symbols, `10` is one entry
+    lineno, body = got["table"]
+    entries = body.split(",") if got["alphabet"].size > 10 or "," in body else body
     try:
-        return CARule(monoid, got["alphabet"], got["memory"], got["table"])
+        table = tuple(map(int, entries))
+    except ValueError:
+        raise ParseError("bad table entry", line=lineno) from None
+    try:
+        return CARule(monoid, got["alphabet"], got["memory"], table)
     except ValidationError as e:
         raise ParseError(str(e)) from None
 

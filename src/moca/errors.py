@@ -63,6 +63,10 @@ class BudgetExceeded(MocaError):
         return base ** exponent
 
 
+# a number in every grammar; int() refuses more than 4300 digits
+_DIGITS = "[0-9]{1,4000}"
+
+
 def _content_lines(text):
     """(line number, stripped line) for each line that is neither blank nor
     a `#` comment, numbered as in the file so a ParseError can point at it."""

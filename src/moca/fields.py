@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import CarrierMismatch, NotFinite, ParseError, ValidationError, _check_space
+from .errors import CarrierMismatch, NotFinite, ParseError, ValidationError, _DIGITS, _check_space
 
 __all__ = [
     "Field",
@@ -199,12 +199,6 @@ class Scalar:
         _check_field(self.field, other)
         return Scalar(self.field, self.field.mul_v(self.v, other.v))
 
-    def __truediv__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        _check_field(self.field, other)
-        return Scalar(self.field, self.field.mul_v(self.v, self.field.inv_v(other.v)))
-
     def __neg__(self):
         return Scalar(self.field, self.field.neg_v(self.v))
 
@@ -334,7 +328,7 @@ class PrimeField(Field):
 
     def parse_literal_v(self, text):
         s = re.sub(r"\s+", "", text)
-        if not re.fullmatch(r"[+-]?[0-9]+", s):
+        if not re.fullmatch(f"[+-]?{_DIGITS}", s):
             raise ParseError(f"bad {self.name()} literal {text!r}")
         return int(s) % self.p
 
@@ -394,7 +388,7 @@ class ExtensionField(Field):
         degs = {}
         for sign, term in re.findall(r"([+-]?)([^+-]+)", s):
             # a coefficient's `*` must be followed by t: `2*t`, never `2*`
-            m = re.fullmatch(r"(?:([0-9]+)(?:\*(?=t))?)?(t(?:\^([0-9]+))?)?", term)
+            m = re.fullmatch(rf"(?:({_DIGITS})(?:\*(?=t))?)?(t(?:\^({_DIGITS}))?)?", term)
             if not m:
                 raise ParseError(f"bad term {term!r} in {self.name()} literal")
             digits, t, exp = m.groups()
@@ -450,7 +444,7 @@ class RationalField(Field):
 
     def parse_literal_v(self, text):
         s = re.sub(r"\s+", "", text)
-        m = re.fullmatch(r"([+-]?[0-9]+)(?:/([0-9]+))?", s)
+        m = re.fullmatch(f"([+-]?{_DIGITS})(?:/({_DIGITS}))?", s)
         if not m:
             raise ParseError(f"bad rational literal {text!r}")
         num = int(m.group(1))
@@ -508,8 +502,7 @@ def parse_field_spec(text):
     s = text.strip()
     if s in ("Q", "q"):
         return rationals()
-    # int() refuses more than 4300 digits
-    m = re.fullmatch(r"([0-9]{1,4000})(?:\^([0-9]{1,4000}))?", s)
+    m = re.fullmatch(rf"({_DIGITS})(?:\^({_DIGITS}))?", s)
     if not m:
         raise ParseError(f"bad field spec {text!r}; expected p, p^k, or Q")
     p = int(m.group(1))

@@ -34,8 +34,6 @@ __all__ = [
     "FlatMatrix",
     "flatten",
     "unflatten",
-    "flat_identity",
-    "flat_zero",
     "flat_mul",
     "gauss_rank",
     "CertifyReport",
@@ -74,7 +72,8 @@ def flatten(mat):
 
 
 def unflatten(flat, monoid, d):
-    """Recover the algebra matrix from its flattening (identity column block)."""
+    """Recover the algebra matrix from its flattening (identity column block);
+    the planned caller is ROADMAP item 7's `finiteness invert`."""
     els = monoid.elements()
     field = flat.field
     if flat.size != len(els) * d:
@@ -87,18 +86,6 @@ def unflatten(flat, monoid, d):
                 (s, flat.rows[si * d + i][j]) for si, s in enumerate(els)]))
         entries.append(row)
     return mat_from_entries(field, monoid, entries)
-
-
-def flat_identity(field, size):
-    rows = tuple(tuple(field.one_v if i == j else field.zero_v for j in range(size))
-                 for i in range(size))
-    return FlatMatrix(field, size, rows)
-
-
-def flat_zero(field, size):
-    z = field.zero_v
-    return FlatMatrix(field, size, tuple(tuple(z for _ in range(size))
-                                         for _ in range(size)))
 
 
 def flat_mul(a, b):

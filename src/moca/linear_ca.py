@@ -172,7 +172,8 @@ def lca_injective_surjective(rule):
     """Both verdicts via the rank of the flattened global map.
 
     Needs a finite monoid and a finite field so the configuration space is
-    finite; there injective, surjective, and full rank coincide.
+    finite; there injective, surjective, and full rank coincide.  The
+    planned caller is ROADMAP item 9's Garden-of-Eden verb, as its oracle.
     """
     if not rule.monoid.is_finite():
         raise NotFinite(f"{rule.monoid.spec_string()} is infinite")

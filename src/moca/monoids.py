@@ -14,12 +14,11 @@ say) is a new monoid, and mixing the two raises CarrierMismatch.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
 from dataclasses import dataclass
 
-from .errors import CarrierMismatch, NotFinite, ParseError, ValidationError, _content_lines
+from .errors import CarrierMismatch, NotFinite, ParseError, ValidationError, _DIGITS, _content_lines
 
 __all__ = [
     "Elem",
@@ -36,7 +35,6 @@ __all__ = [
     "parse_table_text",
     "serialize_table",
     "product_set",
-    "translate",
     "canonical_sorted",
     "monoid_directly_finite",
     "enumerate_monoids",
@@ -73,6 +71,7 @@ class Elem:
 
 class Monoid:
     order = None  # None means infinite
+    _elements = None
 
     def elem(self, key):
         got = self._cache.get(key)
@@ -89,15 +88,12 @@ class Monoid:
         return self.order is not None
 
     def elements(self):
-        """All elements in canonical order, identity first; finite only."""
+        """All elements in canonical order, identity first; one tuple, built once; finite only."""
         if self.order is None:
             raise NotFinite(f"{self.spec_string()} is infinite")
-        return [self.elem(k) for k in range(self.order)]
-
-    @functools.cached_property
-    def element_tuple(self):
-        """elements() as a tuple, built once per monoid; finite only."""
-        return tuple(self.elements())
+        if self._elements is None:
+            self._elements = tuple(map(self.elem, range(self.order)))
+        return self._elements
 
     def __repr__(self):
         return f"<monoid {self.spec_string()}>"
@@ -210,7 +206,7 @@ class CyclicMonoid(Monoid):
         s = tok.strip()
         if s in ("1", "e"):
             return self.elem(0)
-        m = re.fullmatch(r"g(?:\^?([0-9]+))?", s)
+        m = re.fullmatch(rf"g(?:\^?({_DIGITS}))?", s)
         if not m:
             raise ParseError(f"unknown element {tok!r} in {self.spec_string()}")
         k = int(m.group(1)) if m.group(1) is not None else 1
@@ -261,7 +257,7 @@ class BicyclicMonoid(Monoid):
         s = tok.strip()
         if s == "1":
             return self.elem((0, 0))
-        if not re.fullmatch(r"(?:[pq](?:\^[0-9]+)?)+", s):
+        if not re.fullmatch(rf"(?:[pq](?:\^{_DIGITS})?)+", s):
             raise ParseError(f"unknown element {tok!r} in bicyclic")
         key = (0, 0)
         for gen, exp in re.findall(r"([pq])(?:\^([0-9]+))?", s):
@@ -306,7 +302,7 @@ class FreeCommMonoid(Monoid):
         s = tok.strip()
         if s == "1":
             return self.elem(self.identity_key())
-        if not re.fullmatch(r"(?:x[0-9]+(?:\^[0-9]+)?)+", s):
+        if not re.fullmatch(rf"(?:x{_DIGITS}(?:\^{_DIGITS})?)+", s):
             raise ParseError(f"unknown element {tok!r} in {self.spec_string()}")
         exps = [0] * self.rank
         for idx, exp in re.findall(r"x([0-9]+)(?:\^([0-9]+))?", s):
@@ -341,15 +337,6 @@ def table_monoid(names, rows, label=None):
     return _intern(TableMonoid(names, rows, label=label))
 
 
-def translate(x, m, side):
-    """Left translation sends x to m*x, right translation to x*m."""
-    if side == "left":
-        return m * x
-    if side == "right":
-        return x * m
-    raise ValidationError(f"side must be 'left' or 'right', got {side!r}")
-
-
 def canonical_sorted(elems):
     return sorted(elems, key=lambda e: e.key)
 
@@ -370,7 +357,8 @@ class DirectFiniteness:
 
 
 def monoid_directly_finite(monoid):
-    """Exhaustive check that a*b = 1 forces b*a = 1; finite monoids only."""
+    """Exhaustive check that a*b = 1 forces b*a = 1; finite monoids only.
+    The planned callers are the scans of ROADMAP items 12 and 13."""
     one = monoid.identity
     els = monoid.elements()
     for a in els:
@@ -472,10 +460,10 @@ def parse_monoid_spec(spec):
     s = spec.strip()
     if s == "bicyclic":
         return bicyclic()
-    m = re.fullmatch(r"cyclic:([0-9]+)", s)
+    m = re.fullmatch(f"cyclic:({_DIGITS})", s)
     if m:
         return cyclic(int(m.group(1)))
-    m = re.fullmatch(r"freecomm:([0-9]+)", s)
+    m = re.fullmatch(f"freecomm:({_DIGITS})", s)
     if m:
         return free_commutative(int(m.group(1)))
     m = re.fullmatch(r"table:(.+)", s)

@@ -25,10 +25,8 @@ from .monoids import canonical_sorted, product_set
 __all__ = [
     "SymbolAlphabet",
     "Pattern",
-    "symbol_pattern",
     "vector_pattern",
     "random_vector_pattern",
-    "zero_vector_pattern",
     "indicator_pattern",
     "pattern_add",
     "pattern_scale",
@@ -126,14 +124,6 @@ class Pattern:
         return f"Pattern({self.kind}, {len(self.values)} sites)"
 
 
-def symbol_pattern(monoid, alphabet, mapping):
-    vals = {}
-    for site, sym in mapping.items():
-        alphabet.check(sym)
-        vals[site] = sym
-    return Pattern(monoid, "symbol", vals, alphabet=alphabet)
-
-
 def vector_pattern(monoid, field, d, mapping):
     if d < 1:
         raise ValidationError(f"vector dimension must be >= 1, got {d}")
@@ -152,11 +142,6 @@ def vector_pattern(monoid, field, d, mapping):
 def random_vector_pattern(rng, monoid, field, d, sites):
     vals = {s: tuple(random_scalar(rng, field) for _ in range(d)) for s in sites}
     return vector_pattern(monoid, field, d, vals)
-
-
-def zero_vector_pattern(monoid, field, d, window):
-    z = (field.zero,) * d
-    return Pattern(monoid, "vector", {m: z for m in window}, field=field, d=d)
 
 
 def indicator_pattern(monoid, field, d, domain, component, site):

@@ -530,7 +530,7 @@ def _eq_from_obj(obj):
             raise ParseError("equation right side must be 0 or 1")
         return Equation((int(label[0]), int(label[1]), str(label[2])),
                         tuple(monomials), rhs)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:  # int(1e400)
         raise ParseError(f"malformed equation object: {e}") from None
 
 
@@ -539,6 +539,8 @@ def parse_system_json(text):
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from None
+    except ValueError:  # int() refuses more than 4300 digits
+        raise ParseError("invalid JSON: a number has too many digits") from None
     try:
         var_names = tuple(str(n) for n in obj["variables"])
         equations = tuple(_eq_from_obj(e) for e in obj["equations"])

@@ -820,6 +820,21 @@ def test_rule_file_roundtrip():
     assert parse_rule_text(serialize_rule(r2), b) == r2
 
 
+def test_rule_file_roundtrip_every_alphabet():
+    # above 10 symbols the table line is comma-separated, even with one entry
+    m = cyclic(3)
+    rng = random.Random(22)
+    for a in range(1, 13):
+        alphabet = SymbolAlphabet(a)
+        for k in range(3):
+            memory = m.elements()[:k]
+            for table in ((a - 1,) * a ** k, tuple(rng.randrange(a) for _ in range(a ** k))):
+                r = CARule(m, alphabet, memory, table)
+                assert parse_rule_text(serialize_rule(r), m) == r
+    assert parse_rule_text("alphabet: 11\nmemory:\ntable: 10\n", m).table == (10,)
+    assert parse_rule_text("alphabet: 10\nmemory:\ntable: 9\n", m).table == (9,)
+
+
 def test_rule_file_errors():
     m = cyclic(2)
     with pytest.raises(ParseError):
@@ -834,6 +849,10 @@ def test_rule_file_errors():
     with pytest.raises(ParseError) as exc2:
         parse_rule_text("alphabet: 2\nbogus: 3\n", m)
     assert exc2.value.line == 2
+    for table in ("\u00b2", "0,x"):  # a superscript two passes str.isdigit, not int()
+        with pytest.raises(ParseError) as exc3:
+            parse_rule_text(f"alphabet: 2\ntable: {table}\nmemory:\n", m)
+        assert exc3.value.line == 2
 
 
 def test_rule_file_rejects_repeated_keys():

@@ -8,7 +8,8 @@ the terminal width and the Python version.  The cases cover every input
 reader: the --monoid and --field flags, alone and next to a missing
 argument; K[M], GF(p), GF(p^k) and Q literals; pattern, assignment, rule,
 table, matrix and system files; and the sites a convolution or a rule
-reads but a pattern lacks.  No case may print a traceback.  After a
+reads but a pattern lacks.  No case may print a traceback, not even for a
+number longer than int() reads (LONG, shown as `<5000 nines>`).  After a
 deliberate change of a message, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_errors.py > tests/cli_errors.txt
@@ -28,6 +29,7 @@ import tempfile
 from moca.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "cli_errors.txt")
+LONG = "9" * 5000  # int() refuses more than 4300 digits
 BICYCLIC_VARS = ("x[0,0,p^1] := 1\nx[0,0,q^1] := 0\n"
                  "y[0,0,p^1] := 0\ny[0,0,q^1] := 1\n")
 FILES = {
@@ -59,6 +61,15 @@ FILES = {
     "sign_run.txt": BICYCLIC_VARS.replace(":= 1", ":= --1", 1),
     "empty_support.json": ('{"variables": [], "equations": [], "negated_block": [], '
                            '"meta": {"d": 1, "support": []}}\n'),
+    "missing_row.tbl": "elements: e a\nrow: e a\n",
+    "short_row.tbl": "elements: e a\nrow: e\nrow: a e\n",
+    "bad_line.tbl": "elements: e a\ncolumn: e a\n",
+    "short.mat": "2\n1 ; 0\n",
+    "long.mat": f"1\n{LONG}*g\n",
+    "long_vec.pat": f"1 := {LONG}\n",
+    "long.txt": BICYCLIC_VARS.replace(":= 1", f":= {LONG}", 1),
+    "long.json": ('{"variables": ["x", "y"], "equations": [], "negated_block": [], '
+                  f'"meta": {{"d": {LONG}, "support": ["p"]}}}}\n'),
 }
 C3 = ["--monoid", "cyclic:3"]
 SOLVE = ["sentence", "solve", "--monoid", "bicyclic", "--support", "p,q",
@@ -128,6 +139,36 @@ CASES = [
     ["ca-min-memory", *C3, "--rule", "rule_two_alphabets.txt"],
     ["ca-min-memory", *C3, "--rule", "rule_two_tables.txt"],
     ["ca-min-memory", *C3, "--rule", "rule_bad_line.txt"],
+    # carriers and elements out of range, and table files cut short
+    ["mul", "--monoid", "cyclic:0", "1", "1"],
+    ["mul", "--monoid", "freecomm:0", "1", "1"],
+    ["mul", "--monoid", "freecomm:2", "x3", "x1"],
+    ["mul", "--monoid", "freecomm:2", "y", "x1"],
+    ["mul", "--monoid", "table:missing_row.tbl", "e", "a"],
+    ["mul", "--monoid", "table:short_row.tbl", "e", "a"],
+    ["mul", "--monoid", "table:bad_line.tbl", "e", "a"],
+    # flags and file shapes that do not fit the command
+    ["mat-mul", *C3, "--field", "2", "--matrixA", "short.mat", "--matrixB", "one.mat"],
+    ["ca-apply", *C3, "--rule", "rule.txt", "--pattern", "one_only.pat", "--window", ","],
+    ["sentence", "solve", "--field", "2"],
+    SOLVE,
+    ["psi-inv", *C3, "--field", "2", "--dim", "2", "--support", "1", "--matrix", "one.mat"],
+    ["ca-scan-surjunctivity", "--monoid", "cyclic:2", "--alphabet", "2", "--budget", "3"],
+    # a number too long for int() in each reader
+    ["mul", "--monoid", f"cyclic:{LONG}", "g", "g"],
+    ["mul", *C3, f"g^{LONG}", "g"],
+    ["mul", "--monoid", "bicyclic", f"p^{LONG}", "q"],
+    ["mul", "--monoid", "freecomm:2", f"x1^{LONG}", "x1"],
+    ["mul", "--monoid", "freecomm:2", f"x{LONG}", "x1"],
+    ["amul", *C3, "--field", "3", f"{LONG}*g", "g"],
+    ["amul", *C3, "--field", "Q", f"1/{LONG}*g", "g"],
+    ["amul", *C3, "--field", "2^2", f"({LONG}*t)*g", "g"],
+    ["amul", *C3, "--field", "2^2", f"(t^{LONG})*g", "g"],
+    ["mat-mul", *C3, "--field", "3", "--matrixA", "long.mat", "--matrixB", "one.mat"],
+    ["conv", *C3, "--field", "3", "--pattern", "long_vec.pat", "--matrix", "one.mat",
+     "--window", "1"],
+    [*CHECK, "--field", "2", "--assign", "long.txt"],
+    ["sentence", "solve", "--system", "long.json", "--field", "2"],
 ]
 
 
@@ -151,14 +192,23 @@ def run(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+def shown(text):
+    return text.replace(LONG, "<5000 nines>")
+
+
+def command(argv):
+    """The command line as the golden file shows it."""
+    return shown(shlex.join(argv))
+
+
 def render(argv):
     rc, out, err = run(argv)
     assert "Traceback" not in err, argv
     lines = err.splitlines()
     if lines and lines[0].startswith("usage: "):
         lines = lines[-1:]
-    shown = "".join(f"2> {line}\n" for line in lines)
-    return f"$ moca {shlex.join(argv)}\nexit {rc}\n{out}{shown}"
+    stderr = "".join(f"2> {line}\n" for line in lines)
+    return shown(f"$ moca {shlex.join(argv)}\nexit {rc}\n{out}{stderr}")
 
 
 def load_golden():
@@ -169,16 +219,16 @@ def load_golden():
 
 
 def test_golden_file_covers_the_cases():
-    assert sorted(load_golden()) == sorted(shlex.join(argv) for argv in CASES)
+    assert sorted(load_golden()) == sorted(command(argv) for argv in CASES)
 
 
 def pytest_generate_tests(metafunc):
     if "argv" in metafunc.fixturenames:
-        metafunc.parametrize("argv", CASES, ids=shlex.join)
+        metafunc.parametrize("argv", CASES, ids=command)
 
 
 def test_input_error_matches_golden(argv):
-    assert render(argv) == load_golden()[shlex.join(argv)]
+    assert render(argv) == load_golden()[command(argv)]
 
 
 if __name__ == "__main__":

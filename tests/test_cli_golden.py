@@ -5,10 +5,11 @@ code and stdout with the text pinned in cli_golden.txt.  The cases print
 K[M] products, matrix products, convolutions, certificates and recovered
 matrices over GF(p), GF(p^k) and Q; extension-field literals (parsed,
 multiplied and printed through ranks); sentence models, their witness
-indices and decoded matrices; and the counts of exhaustive CA scans.  The
-order-2 tables, matrices and patterns are files under tables/.  So a change
-of representation, of arithmetic or of the scan kernel shows up as a diff
-here.  After a deliberate change of output, regenerate the file with
+indices and decoded matrices; the emitted sentence; the counts of
+exhaustive CA scans; and a rule over more than 10 symbols, printed and
+read back.  The order-2 tables, matrices, patterns, rules, the system file
+and its model are files under tables/.  So a change of representation,
+of arithmetic or of the scan kernel shows up as a diff here.  After a deliberate change of output, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_golden.py > tests/cli_golden.txt
 
@@ -83,6 +84,22 @@ CASES = (
          "--support", "p,q,qp", "--matrix", "tables/bicyclic_a.mat"])]
     + [["sentence", "solve", "--monoid", "bicyclic", "--support", "p,q",
         "--dim", "2", "--field", "2"]]
+    # a structural UNSAT, the emitted sentence and its impossible equations,
+    # a check of a system file, and a scan under an explicit rule budget
+    + [["sentence", "solve", "--monoid", "bicyclic", "--support", "p",
+        "--dim", "1", "--field", "2"] + fmt for fmt in ([], ["--format", "json"])]
+    + [["sentence", "emit", "--monoid", "bicyclic", "--support", "p,q", "--dim", "1"],
+       ["sentence", "emit", "--monoid", "bicyclic", "--support", "p", "--dim", "1",
+        "--format", "json"],
+       ["sentence", "check", "--system", "tables/bicyclic_pq.json", "--field", "2",
+        "--assign", "tables/bicyclic_pq_model.txt", "--format", "json"],
+       ["ca-scan-surjunctivity", "--monoid", "cyclic:2", "--alphabet", "2",
+        "--budget", "16"]]
+    # a rule over 11 symbols reduced to a one-entry table, then read back
+    # from that output (c2_const11_min.rule)
+    + [["ca-min-memory", "--monoid", "cyclic:2", "--rule", "tables/c2_const11.rule"],
+       ["ca-apply", "--monoid", "cyclic:2", "--rule", "tables/c2_const11_min.rule",
+        "--pattern", "tables/c2_sym.pat", "--window", "1,g"]]
 )
 
 

@@ -273,7 +273,7 @@ def test_largest_extension_fields(p, k, modulus):
         assert coeffs(x * y) == oracle_mul(coeffs(x), coeffs(y), modulus, p)
         assert f.parse_literal(str(x)) == x
         if not y.is_zero():
-            assert (x / y) * y == x
+            assert (x * y.inverse()) * y == x
     with pytest.raises(BudgetExceeded):
         field_make(3, 6, (2, 1, 0, 0, 0, 0, 1))  # q = 729
 
@@ -300,9 +300,9 @@ def test_rationals_exact():
     sixth = q.parse_literal("1/6")
     assert (third + sixth).v == Fraction(1, 2)
     assert str(third + sixth) == "1/2"
-    assert (third / third).is_one()
+    assert (third * third.inverse()).is_one()
     with pytest.raises(ZeroDivisionError):
-        third / q.zero
+        q.zero.inverse()
     with pytest.raises(NotFinite):
         third.rank()
 
@@ -531,15 +531,6 @@ def test_rational_axioms_hypothesis(a, b, c):
     assert (x + y) + z == x + (y + z)
     assert x * (y + z) == x * y + x * z
     assert x * y == y * x
-
-
-def test_division_consistency_gf8():
-    f = field_make(2, 3)
-    for x in f.elements():
-        for y in f.elements():
-            if y.is_zero():
-                continue
-            assert (x / y) * y == x
 
 
 @given(st.integers(2, 300), st.data())

@@ -17,9 +17,7 @@ from moca.finiteness import (
     FlatMatrix,
     bicyclic_witness,
     certify_two_sided,
-    flat_identity,
     flat_mul,
-    flat_zero,
     flatten,
     gauss_rank,
     unflatten,
@@ -48,8 +46,10 @@ def rand_mat(rng, monoid, field, d):
 def test_flatten_identity_and_zero():
     for d in (1, 2):
         m = cyclic(2)
-        assert flatten(mat_identity(GF3, m, d)) == flat_identity(GF3, 2 * d)
-        assert flatten(mat_zero(GF3, m, d)) == flat_zero(GF3, 2 * d)
+        n = 2 * d
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert flatten(mat_identity(GF3, m, d)) == FlatMatrix(GF3, n, eye)
+        assert flatten(mat_zero(GF3, m, d)) == FlatMatrix(GF3, n, ((0,) * n,) * n)
 
 
 def test_flatten_shift_is_permutation():
@@ -254,8 +254,9 @@ def test_flat_kernel_rationals_large_and_hilbert():
 
 
 def test_gauss_rank_basics():
-    assert gauss_rank(flat_identity(GF2, 4)) == 4
-    assert gauss_rank(flat_zero(GF3, 3)) == 0
+    eye = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert gauss_rank(FlatMatrix(GF2, 4, eye)) == 4
+    assert gauss_rank(FlatMatrix(GF3, 3, ((0,) * 3,) * 3)) == 0
     singular = FlatMatrix(GF2, 2, ((1, 1), (1, 1)))
     assert gauss_rank(singular) == 1
 
@@ -280,9 +281,9 @@ def test_gauss_rank_rationals():
 
 def test_flat_mul_guards():
     with pytest.raises(ValidationError):
-        flat_mul(flat_identity(GF2, 2), flat_identity(GF2, 3))
+        flat_mul(FlatMatrix(GF2, 2, ((1, 0), (0, 1))), FlatMatrix(GF2, 3, ((0,) * 3,) * 3))
     with pytest.raises(CarrierMismatch):
-        flat_mul(flat_identity(GF2, 2), flat_identity(GF3, 2))
+        flat_mul(FlatMatrix(GF2, 2, ((1, 0), (0, 1))), FlatMatrix(GF3, 2, ((1, 0), (0, 1))))
 
 
 def test_certify_identity_pair():

@@ -25,7 +25,6 @@ from moca.monoids import (
     product_set,
     serialize_table,
     table_monoid,
-    translate,
 )
 
 
@@ -102,21 +101,13 @@ def test_identity_laws_all_families():
             assert one * x == x and x * one == x
 
 
-def test_cyclic_translation():
+def test_cyclic_frozen_products():
     c3 = cyclic(3)
     g = c3.parse_element("g")
     g2 = c3.parse_element("g^2")
-    assert translate(g, g2, "left") == c3.identity  # g^2 * g
-    assert translate(g, g2, "right") == c3.identity
-    assert translate(c3.identity, g, "right") == g
-    with pytest.raises(ValidationError):
-        translate(g, g, "sideways")
-
-
-def test_translate_bicyclic():
-    b = bicyclic()
-    assert translate(b.q, b.p, "right") == b.q * b.p
-    assert translate(b.q, b.p, "left") == b.identity
+    assert g2 * g == c3.identity
+    assert g * g2 == c3.identity
+    assert c3.identity * g == g
 
 
 def test_product_set_frozen():

@@ -12,6 +12,7 @@ from moca.ca import CARule, ca_apply
 from moca.fields import field_make, rationals
 from moca.monoids import bicyclic, canonical_sorted, cyclic, free_commutative, product_set
 from moca.patterns import (
+    Pattern,
     SymbolAlphabet,
     convolve_matrix,
     convolve_scalar,
@@ -22,9 +23,7 @@ from moca.patterns import (
     pattern_scale,
     required_domain,
     serialize_pattern,
-    symbol_pattern,
     vector_pattern,
-    zero_vector_pattern,
 )
 
 
@@ -39,7 +38,7 @@ def test_restrict_and_errors():
     c3 = cyclic(3)
     a2 = SymbolAlphabet(2)
     els = c3.elements()
-    c = symbol_pattern(c3, a2, {els[0]: 1, els[1]: 0})
+    c = Pattern(c3, "symbol", {els[0]: 1, els[1]: 0}, alphabet=a2)
     r = c.restrict([els[0]])
     assert r.domain() == (els[0],)
     assert c.restrict([]).domain() == ()
@@ -52,7 +51,7 @@ def test_shift_finite_default_candidates():
     c3 = cyclic(3)
     a2 = SymbolAlphabet(2)
     els = c3.elements()
-    c = symbol_pattern(c3, a2, {e: i % 2 for i, e in enumerate(els)})
+    c = Pattern(c3, "symbol", {e: i % 2 for i, e in enumerate(els)}, alphabet=a2)
     g = els[1]
     sh = c.shift(g)
     for x in els:
@@ -78,7 +77,8 @@ def test_shift_action_law_exhaustive():
         a2 = SymbolAlphabet(2)
         els = cn.elements()
         for mask in range(2 ** n):
-            c = symbol_pattern(cn, a2, {e: (mask >> i) & 1 for i, e in enumerate(els)})
+            c = Pattern(cn, "symbol", {e: (mask >> i) & 1 for i, e in enumerate(els)},
+                        alphabet=a2)
             for m1 in els:
                 for m2 in els:
                     lhs = c.shift(m1).shift(m2)
@@ -131,7 +131,7 @@ def test_convolve_with_identity_and_zero():
     out = convolve_scalar(c, alg_one(f3, c3), els)
     assert out == c
     z = convolve_scalar(c, alg_zero(f3, c3), els)
-    assert z == zero_vector_pattern(c3, f3, 1, els)
+    assert z == vp(c3, f3, {m: [0] for m in els})
 
 
 def test_convolve_missing_sites_reported():
@@ -164,7 +164,7 @@ def test_missing_sites_named_once_in_canonical_order():
             alpha = alg_from_terms(f2, monoid, [(s, f2.one) for s in support])
             mat = mat_from_entries(f2, monoid, [[alpha]])
             rule = CARule(monoid, a2, support, (0,) * 2 ** len(support))
-            sym = symbol_pattern(monoid, a2, {m: 0 for m in defined})
+            sym = Pattern(monoid, "symbol", {m: 0 for m in defined}, alphabet=a2)
             sites = [s * m for m in window for s in support]
             for call in (lambda: convolve_matrix(c, mat, window),
                          lambda: ca_apply(rule, sym, window),
@@ -284,11 +284,10 @@ def test_indicator_pattern():
         indicator_pattern(b, f2, 2, S, 0, b.identity)
 
 
-def test_symbol_pattern_validation():
-    c2 = cyclic(2)
+def test_symbol_alphabet_validation():
     a2 = SymbolAlphabet(2)
     with pytest.raises(ValidationError):
-        symbol_pattern(c2, a2, {c2.identity: 5})
+        a2.check(5)
     with pytest.raises(ValidationError):
         SymbolAlphabet(0)
 
