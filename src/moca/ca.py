@@ -16,7 +16,9 @@ add packed lane weights instead (_bijections).
 
 A rule maps constant configurations to constants, tau(x)(m) = table[x *
 (a^k - 1) / (a - 1)] at every site m, so an injective rule permutes the
-alphabet on these diagonal entries; the scans skip every other table.
+alphabet on these diagonal entries.  On a finite M, tau(c)(1) = table[li] on
+a^(|M|-k) configurations per entry li, and a bijective tau takes each symbol
+a^(|M|-1) times, so a^(k-1) entries hold each symbol; the scans skip the rest.
 """
 
 from __future__ import annotations
@@ -311,10 +313,11 @@ def _bijections(monoid, alphabet, memory, rule_budget, config_budget):
     is sum_li table[li] * W[li], W[li] the packed image of unit table li,
     summed as a meet in the middle (_permuting_sums); one set of the lanes,
     in C, decides each rule.  A rule maps the constant configuration x to
-    the constant table[x * (a^k - 1) / (a - 1)], so only tables whose
-    diagonal entries permute the alphabet can be injective, and only their
-    lanes are packed.  Both budgets are checked before any plan or sum
-    exists, configuration space first so that a^(a^|S|) is cheap."""
+    the constant table[x * (a^k - 1) / (a - 1)], and each table entry is
+    site 1 of a^(|M|-k) configurations, so only tables whose diagonal
+    entries permute the alphabet and that hold each symbol a^(k-1) times
+    can be injective; only their lanes are packed.  Both budgets are
+    checked before any plan or sum exists, configuration space first."""
     els, configs = _config_elements(monoid, alphabet, config_budget)
     memory = els if memory is None else tuple(memory)
     a, length = alphabet.size, alphabet.size ** len(memory)
@@ -339,23 +342,28 @@ def _bijections(monoid, alphabet, memory, rule_budget, config_budget):
 
 
 def _permuting_sums(weights, a, k, high):
-    """(table index, sum_li table[li] * weights[li]) for each table over a
-    memory of k sites whose diagonal entries permute the alphabet, in table
-    (lex) order.  Each sum over the `high` leading digits meets only the
-    held trailing-digit sums whose diagonal digits complete its own to a
-    permutation; with fewer than a distinct diagonal entries none does."""
+    """(table index, sum_li table[li] * weights[li]) for each balanced table
+    (a^(k-1) entries per symbol) over k sites whose diagonal entries permute
+    the alphabet, in table (lex) order.  Each sum over the `high` leading
+    digits meets only the held trailing-digit sums that complete its diagonal
+    digits to a permutation and its symbol counts to a^(k-1) each."""
+    need = len(weights) // a  # a^(k-1); 0 for the empty memory at a >= 2
     diag = {encode_digits([x] * k, a) for x in range(a)}
-    # strides of the diagonal digits in each half's digit-tuple index
-    high_strides = [a ** (high - 1 - li) for li in diag if li < high]
-    low_strides = [a ** (len(weights) - 1 - li) for li in diag if li >= high]
-    completes = {}  # distinct low diagonal digits -> [(lo, low sum)] in lo order
-    for lo, low_sum in enumerate(_digit_sums(weights[high:], a)):
-        vals = frozenset(lo // st % a for st in low_strides)
-        if len(vals) == len(low_strides):
-            completes.setdefault(vals, []).append((lo, low_sum))
+    high_diag = [li for li in diag if li < high]
+    low_diag = [li - high for li in diag if li >= high]
+    completes = {}  # (low diagonal digits, counts) -> [(lo, low sum)] in lo order
+    low_digits = itertools.product(range(a), repeat=len(weights) - high)
+    for lo, (digits, low_sum) in enumerate(zip(low_digits, _digit_sums(weights[high:], a))):
+        vals = frozenset(digits[li] for li in low_diag)
+        counts = tuple(map(digits.count, range(a)))
+        if len(vals) == len(low_diag) and max(counts) <= need:
+            completes.setdefault((vals, counts), []).append((lo, low_sum))
     symbols, lows = frozenset(range(a)), a ** (len(weights) - high)
-    for hi, high_sum in enumerate(_digit_sums(weights[:high], a)):
-        for lo, low_sum in completes.get(symbols - {hi // st % a for st in high_strides}, ()):
+    high_digits = itertools.product(range(a), repeat=high)
+    for hi, (digits, high_sum) in enumerate(zip(high_digits, _digit_sums(weights[:high], a))):
+        key = (symbols - {digits[li] for li in high_diag},
+               tuple(need - digits.count(x) for x in range(a)))
+        for lo, low_sum in completes.get(key, ()):
             yield hi * lows + lo, high_sum + low_sum
 
 

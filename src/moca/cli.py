@@ -522,7 +522,9 @@ def _build_parser():
 
     p = sub.add_parser("ca-scan-surjunctivity", parents=[fmt, mon],
                        help="scan every rule table: injectivity, surjectivity,"
-                            " and the two-sided identity law")
+                            " and the two-sided identity law",
+                       description="`rules scanned` and the `pairs` stat count the rule"
+                                   " space and the ordered pair space, not the maps computed.")
     p.add_argument("--alphabet", type=int, required=True)
     p.add_argument("--memory", help="comma-separated sites (default: all)")
     p.add_argument("--budget", type=int, help="rule-count budget")

@@ -208,9 +208,6 @@ class Scalar:
     def is_zero(self):
         return self.v == self.field.zero_v
 
-    def is_one(self):
-        return self.v == self.field.one_v
-
     def rank(self):
         return self.field.rank_v(self.v)
 

@@ -522,16 +522,19 @@ def _eq_from_obj(obj):
         monomials = []
         for mono in obj["monomials"]:
             coeff, xi, yi = mono
-            if coeff != 1:
+            if type(coeff) is not int or coeff != 1:
                 raise ParseError("monomial coefficients must be 1")
-            monomials.append((int(xi), int(yi)))
-        rhs = int(obj["rhs"])
-        if rhs not in (0, 1):
-            raise ParseError("equation right side must be 0 or 1")
-        return Equation((int(label[0]), int(label[1]), str(label[2])),
-                        tuple(monomials), rhs)
-    except (KeyError, TypeError, ValueError, OverflowError) as e:  # int(1e400)
+            monomials.append((xi, yi))
+        rhs = obj["rhs"]
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed equation object: {e}") from None
+    # int() would truncate a JSON float and read a bool as 0 or 1
+    for n in (*label[:2], *itertools.chain(*monomials), rhs):
+        if type(n) is not int:
+            raise ParseError(f"equation indices and rhs must be integers, got {json.dumps(n)}")
+    if rhs not in (0, 1):
+        raise ParseError("equation right side must be 0 or 1")
+    return Equation((*label[:2], str(label[2])), tuple(monomials), rhs)
 
 
 def parse_system_json(text):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import struct
@@ -261,9 +262,14 @@ def diagonal_permutes(table, a, k):
     return sorted(table[sum(x * a ** j for j in range(k))] for x in range(a)) == list(range(a))
 
 
+def balanced(table, a, k):
+    """Does each symbol appear a^(k-1) times in the table?"""
+    return all(table.count(x) * a == a ** k for x in range(a))
+
+
 def test_prune_skips_only_non_injective_tables(monkeypatch):
-    # the scans pack exactly the tables whose diagonal permutes the
-    # alphabet; each table they skip collides two configurations
+    # the scans pack exactly the balanced tables whose diagonal permutes
+    # the alphabet; each table they skip collides two configurations
     real, packed = ca._permuting_sums, []
 
     def record(*args):
@@ -280,12 +286,26 @@ def test_prune_skips_only_non_injective_tables(monkeypatch):
         assert packed == sorted(packed)
         packed_set = set(packed)
         for index, table in enumerate(all_rule_tables(a, k)):
-            assert (index in packed_set) == diagonal_permutes(table, a, k)
+            assert (index in packed_set) == (diagonal_permutes(table, a, k)
+                                             and balanced(table, a, k))
             if index not in packed_set:
                 fmap = oracle_full_map(CARule(monoid, alphabet, mem, table))
                 assert len(set(fmap)) < len(fmap)
                 skipped += 1
     assert skipped > 10 ** 4
+
+
+def test_injective_tables_are_balanced():
+    # a bijective rule shows each symbol at the identity site on a^(|M|-1)
+    # configurations and each table entry on a^(|M|-k), so each symbol
+    # fills a^(k-1) entries; checked by the oracle alone, apart from the scans
+    for monoid, alphabet, memory in small_scan_cases():
+        mem = monoid.elements() if memory is None else memory
+        a, k = alphabet.size, len(mem)
+        for table in all_rule_tables(a, k):
+            fmap = oracle_full_map(CARule(monoid, alphabet, mem, table))
+            if len(set(fmap)) == len(fmap):
+                assert balanced(table, a, k)
 
 
 def assert_checked(rule):
@@ -705,7 +725,24 @@ def test_direct_finiteness_scan_cyclic2_alphabet3():
     rep = direct_finiteness_scan(m, A3)
     assert rep.ok and rep.witness is None
     assert rep.total == 19683 and rep.extra["pairs"] == 19683 ** 2
+    assert rep.injective == rep.extra["one_sided_identities"] == 288
     assert rep.extra["one_sided_identities"] == surjunctivity_scan(m, A3).injective
+
+
+def test_benchmark_size_scans_are_pinned():
+    # (rules, bijective rules, SHA-1 prefix of the repr of their tables),
+    # as the scans gave them before they skipped unbalanced tables
+    def pin(rep):
+        digest = hashlib.sha1(repr(rep.extra["injective_tables"]).encode()).hexdigest()
+        return rep.total, rep.injective, digest[:16]
+
+    t0, t1 = enumerate_monoids(2)
+    assert pin(surjunctivity_scan(t0, A3)) == (19683, 288, "aae353be90c7e10a")
+    assert pin(surjunctivity_scan(t1, A3)) == (19683, 48, "ac7001d1ea2d5ef3")
+    assert pin(surjunctivity_scan(cyclic(4), A2)) == (65536, 1536, "fcaa43962827b609")
+    c5 = cyclic(5)
+    mem = [c5.parse_element(s) for s in ("1", "g", "g^2", "g^3")]
+    assert pin(surjunctivity_scan(c5, A2, memory=mem)) == (65536, 472, "6f2b1587875fd75e")
 
 
 def test_direct_finiteness_recheck_can_fail(monkeypatch):

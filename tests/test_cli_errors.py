@@ -32,6 +32,9 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "cli_errors.txt")
 LONG = "9" * 5000  # int() refuses more than 4300 digits
 BICYCLIC_VARS = ("x[0,0,p^1] := 1\nx[0,0,q^1] := 0\n"
                  "y[0,0,p^1] := 0\ny[0,0,q^1] := 1\n")
+PQ_JSON = ('{{"variables": ["x[0,0,p^1]", "x[0,0,q^1]", "y[0,0,p^1]", "y[0,0,q^1]"], '
+           '"equations": [{{"label": [0, 0, "1"], "monomials": [[1, {xi}, 3]], "rhs": {rhs}}}], '
+           '"negated_block": [], "meta": {{"d": 1, "support": ["p", "q"]}}}}\n')
 FILES = {
     "dup_site.pat": "g := 1\ng^4 := 0\n",
     "unknown_site.pat": "h := 1\n",
@@ -61,6 +64,8 @@ FILES = {
     "sign_run.txt": BICYCLIC_VARS.replace(":= 1", ":= --1", 1),
     "empty_support.json": ('{"variables": [], "equations": [], "negated_block": [], '
                            '"meta": {"d": 1, "support": []}}\n'),
+    "float_index.json": PQ_JSON.format(xi="0.9", rhs="1"),
+    "bool_rhs.json": PQ_JSON.format(xi="0", rhs="true"),
     "missing_row.tbl": "elements: e a\nrow: e a\n",
     "short_row.tbl": "elements: e a\nrow: e\nrow: a e\n",
     "bad_line.tbl": "elements: e a\ncolumn: e a\n",
@@ -135,6 +140,8 @@ CASES = [
     [*CHECK, "--field", "2^2", "--assign", "sign_run.txt"],
     # system files
     ["sentence", "solve", "--system", "empty_support.json", "--field", "1009"],
+    ["sentence", "solve", "--system", "float_index.json", "--field", "2"],
+    ["sentence", "solve", "--system", "bool_rhs.json", "--field", "2"],
     # rule files
     ["ca-min-memory", *C3, "--rule", "rule_two_alphabets.txt"],
     ["ca-min-memory", *C3, "--rule", "rule_two_tables.txt"],

@@ -426,6 +426,23 @@ def test_parse_system_json_errors():
     del obj3["meta"]["support"]
     with pytest.raises(ParseError):
         parse_system_json(json.dumps(obj3))
+    # int() would read 0.9 as 0 and true as 1; only JSON integers are taken
+    setters = (lambda eq, v: eq["monomials"][0].__setitem__(1, v),
+               lambda eq, v: eq["label"].__setitem__(0, v),
+               lambda eq, v: eq["label"].__setitem__(1, v),
+               lambda eq, v: eq.__setitem__("rhs", v))
+    for bad in (0.9, 0.7, 1.0, True, False, "0", None):
+        for block in ("equations", "negated_block"):
+            for put in setters:
+                obj4 = json.loads(emit_json(system))
+                put(obj4[block][1], bad)
+                with pytest.raises(ParseError, match="must be integers, got "):
+                    parse_system_json(json.dumps(obj4))
+    for bad in (1.0, True):
+        obj5 = json.loads(emit_json(system))
+        obj5["equations"][0]["monomials"][0][0] = bad
+        with pytest.raises(ParseError, match="coefficients must be 1"):
+            parse_system_json(json.dumps(obj5))
     # zero variables would pass any budget, and GF(p) would then build its
     # p x p rank tables unchecked
     empty = {"variables": [], "equations": [], "negated_block": [],
