@@ -43,15 +43,11 @@ __all__ = [
     "minimal_memory",
     "full_map",
     "decode_config",
-    "injectivity",
-    "surjectivity",
     "left_inverse",
     "surjunctivity_scan",
     "direct_finiteness_scan",
     "parse_rule_text",
     "serialize_rule",
-    "InjectivityVerdict",
-    "SurjectivityVerdict",
     "ScanReport",
     "DEFAULT_CONFIG_BUDGET",
     "DEFAULT_RULE_BUDGET",
@@ -208,47 +204,14 @@ def full_map(rule, config_budget=DEFAULT_CONFIG_BUDGET):
     return _image(_plan(a, rule.memory, els, els), rule.table, a, total)
 
 
-@dataclass(frozen=True)
-class InjectivityVerdict:
-    ok: bool
-    witness: tuple | None  # (pattern1, pattern2), least colliding pair
-
-    def __bool__(self):
-        return self.ok
-
-
-@dataclass(frozen=True)
-class SurjectivityVerdict:
-    ok: bool
-    witness: object | None  # least configuration outside the image
-
-    def __bool__(self):
-        return self.ok
-
-
-def _injectivity_of_map(rule, fmap):
-    if len(set(fmap)) == len(fmap):
-        return InjectivityVerdict(True, None)
+def _least_collision(rule, fmap):
+    """The least pair of configurations that a non-injective map merges."""
     groups = {}
     for i, out in enumerate(fmap):
         groups.setdefault(out, []).append(i)
-    colliding = [g for g in groups.values() if len(g) > 1]
-    c1, c2 = min(colliding, key=lambda g: g[0])[:2]
-    return InjectivityVerdict(False, (
-        decode_config(rule.monoid, rule.alphabet, c1),
-        decode_config(rule.monoid, rule.alphabet, c2)))
-
-
-def injectivity(rule, config_budget=DEFAULT_CONFIG_BUDGET):
-    return _injectivity_of_map(rule, full_map(rule, config_budget))
-
-
-def surjectivity(rule, config_budget=DEFAULT_CONFIG_BUDGET):
-    fmap = full_map(rule, config_budget)
-    missed = next(itertools.filterfalse(set(fmap).__contains__, range(len(fmap))), None)
-    if missed is None:
-        return SurjectivityVerdict(True, None)
-    return SurjectivityVerdict(False, decode_config(rule.monoid, rule.alphabet, missed))
+    c1, c2 = min((g for g in groups.values() if len(g) > 1), key=lambda g: g[0])[:2]
+    return (decode_config(rule.monoid, rule.alphabet, c1),
+            decode_config(rule.monoid, rule.alphabet, c2))
 
 
 def left_inverse(rule, config_budget=DEFAULT_CONFIG_BUDGET):
@@ -260,9 +223,8 @@ def left_inverse(rule, config_budget=DEFAULT_CONFIG_BUDGET):
     """
     els, _ = _config_elements(rule.monoid, rule.alphabet, config_budget)
     fmap = full_map(rule, config_budget)
-    inj = _injectivity_of_map(rule, fmap)
-    if not inj.ok:
-        raise ValidationError("rule is not injective", witness=inj.witness)
+    if len(set(fmap)) != len(fmap):
+        raise ValidationError("rule is not injective", witness=_least_collision(rule, fmap))
     a = rule.alphabet.size
     top = a ** (len(els) - 1)  # stride of the identity site, listed first
     return CARule._trusted(rule.monoid, rule.alphabet, els,

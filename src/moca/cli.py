@@ -28,6 +28,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 
 from .algebra import parse_alg_literal, parse_matrix_text, serialize_matrix
@@ -601,13 +602,19 @@ def _build_parser():
     return top
 
 
+def _abbreviate(message):
+    """The message with each run of over 40 digits cut to its ends and length."""
+    return re.sub(r"[0-9]{41,}",
+                  lambda m: f"{m[0][:3]}...{m[0][-3:]} ({len(m[0])} digits)", message)
+
+
 def main(argv=None):
     try:
         # one parser per process, built on first call; `type=` ParseErrors pass through
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except MocaError as e:
-        print(f"error: {e}", file=sys.stderr)
+        print(f"error: {_abbreviate(str(e))}", file=sys.stderr)
         return 2
 
 

@@ -234,9 +234,6 @@ class Field:
     one_v = 1
     _tables = None
 
-    def scalar_from_int(self, n):
-        return Scalar(self, self.int_v(n))
-
     @property
     def zero(self):
         return Scalar(self, self.zero_v)
@@ -300,9 +297,6 @@ class PrimeField(Field):
     def spec_string(self):
         return str(self.p)
 
-    def int_v(self, n):
-        return n % self.p
-
     def add_v(self, a, b):
         return (a + b) % self.p
 
@@ -348,9 +342,6 @@ class ExtensionField(Field):
     def spec_string(self):
         return f"{self.p}^{self.k}"
 
-    def int_v(self, n):
-        return n % self.p  # a constant is its own rank
-
     def add_v(self, a, b):
         return self._add[a][b]
 
@@ -367,10 +358,6 @@ class ExtensionField(Field):
         if a == 0:
             raise ZeroDivisionError(f"division by zero in {self.name()}")
         return self._inv[a]
-
-    @property
-    def generator(self):
-        return Scalar(self, self.p)  # t: the digits (0, 1, 0, ...)
 
     def literal_of_v(self, a):
         return _format_poly(decode_digits(a, self.p, self.k)[::-1])
@@ -413,9 +400,6 @@ class RationalField(Field):
 
     def spec_string(self):
         return "Q"
-
-    def int_v(self, n):
-        return Fraction(n)
 
     def add_v(self, a, b):
         return a + b

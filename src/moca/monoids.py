@@ -293,11 +293,6 @@ class FreeCommMonoid(Monoid):
             return "1"
         return "".join(f"x{i + 1}^{e}" for i, e in enumerate(k) if e)
 
-    def generator(self, i):
-        if not 1 <= i <= self.rank:
-            raise ValidationError(f"no generator x{i}; rank is {self.rank}")
-        return self.elem(tuple(1 if j == i - 1 else 0 for j in range(self.rank)))
-
     def parse_element(self, tok):
         s = tok.strip()
         if s == "1":

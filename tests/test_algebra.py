@@ -57,7 +57,7 @@ def test_scale_and_sub():
     c2 = cyclic(2)
     f3 = field_make(3)
     x = lit("1 + g", c2, f3)
-    y = x.scale(f3.scalar_from_int(2))
+    y = x.scale(f3.unrank(2))
     assert y == lit("2*1 + 2*g", c2, f3)
     assert (x - x).is_zero()
     assert str(alg_zero(f3, c2)) == "0"
@@ -150,7 +150,7 @@ def test_literal_parsing_cases():
     b = bicyclic()
     f4 = field_make(2, 2)
     x = lit("(t+1)*q^2p^3 + t*p", b, f4)
-    t = f4.generator
+    t = f4.parse_literal("t")
     assert x.coeff(b.elem((2, 3))) == t + f4.one
     assert x.coeff(b.elem((0, 1))) == t
     assert str(x) == "t*p^1 + (t+1)*q^2p^3"

@@ -9,7 +9,8 @@ reader: the --monoid and --field flags, alone and next to a missing
 argument; K[M], GF(p), GF(p^k) and Q literals; pattern, assignment, rule,
 table, matrix and system files; and the sites a convolution or a rule
 reads but a pattern lacks.  No case may print a traceback, not even for a
-number longer than int() reads (LONG, shown as `<5000 nines>`).  After a
+number longer than int() reads (LONG, shown as `<5000 nines>` in the
+command lines), and no stderr line may quote such a number in full.  After a
 deliberate change of a message, regenerate the file with
 
     PYTHONPATH=src python tests/test_cli_errors.py > tests/cli_errors.txt
@@ -199,13 +200,9 @@ def run(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-def shown(text):
-    return text.replace(LONG, "<5000 nines>")
-
-
 def command(argv):
     """The command line as the golden file shows it."""
-    return shown(shlex.join(argv))
+    return shlex.join(argv).replace(LONG, "<5000 nines>")
 
 
 def render(argv):
@@ -215,7 +212,7 @@ def render(argv):
     if lines and lines[0].startswith("usage: "):
         lines = lines[-1:]
     stderr = "".join(f"2> {line}\n" for line in lines)
-    return shown(f"$ moca {shlex.join(argv)}\nexit {rc}\n{out}{stderr}")
+    return f"$ moca {command(argv)}\nexit {rc}\n{out}{stderr}"
 
 
 def load_golden():
@@ -227,6 +224,11 @@ def load_golden():
 
 def test_golden_file_covers_the_cases():
     assert sorted(load_golden()) == sorted(command(argv) for argv in CASES)
+
+
+def test_no_stderr_line_is_long():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        assert [ln for ln in fh if ln.startswith("2> ") and len(ln.rstrip("\n")) > 200] == []
 
 
 def pytest_generate_tests(metafunc):

@@ -70,7 +70,7 @@ def test_gf4_generator_square_frozen():
     # oracle: (0,1)*(0,1) mod t^2+t+1 over GF(2) = (1,1), i.e. t*t = t+1
     assert oracle_mul((0, 1), (0, 1), (1, 1, 1), 2) == (1, 1)
     f4 = field_make(2, 2)
-    t = f4.generator
+    t = f4.parse_literal("t")
     assert coeffs(t * t) == (1, 1)
     assert (t * t).v == 3  # the rank 1 + 1*2
     assert str(t * t) == "t+1"
@@ -120,7 +120,7 @@ def test_large_prime_field_is_fast():
     t0 = time.perf_counter()
     f = parse_field_spec(str(2**61 - 1))
     assert time.perf_counter() - t0 < 0.5
-    assert (f.scalar_from_int(2**60) * f.scalar_from_int(2)).v == 1
+    assert (f.unrank(2**60) * f.unrank(2)).v == 1
     assert not _is_prime((2**31 - 1) * (2**19 - 1))  # a product of Mersenne primes
     with pytest.raises(ValidationError) as ei:
         field_make(_MR_BOUND + 2)
@@ -287,7 +287,7 @@ def test_default_moduli_irreducible_by_oracle():
 
 def test_prime_field_smoke():
     f3 = field_make(3)
-    two = f3.scalar_from_int(2)
+    two = f3.unrank(2)
     assert (two * two).v == 1
     assert (two + two).v == 1
     assert (-two).v == 1
@@ -320,8 +320,8 @@ def test_scalar_rank_bijection(p, k):
 
 
 def test_rank_frozen_examples():
-    assert field_make(2, 2).generator.rank() == 2  # t -> 2
-    assert field_make(3).scalar_from_int(2).rank() == 2
+    assert field_make(2, 2).parse_literal("t").rank() == 2  # t -> 2
+    assert field_make(3).parse_literal("2").rank() == 2
 
 
 FIELDS_Q16 = [field_make(2), field_make(3), field_make(5), field_make(7),
@@ -479,17 +479,18 @@ def test_literal_exponents_reduce_mod_q_minus_1():
     big = 10 ** 18
     for p, k in ((2, 2), (3, 2), (2, 4), (5, 2)):
         f = field_make(p, k)
+        t = f.parse_literal("t")
         t0 = time.perf_counter()
         x = f.parse_literal(f"t^{big}")
         assert time.perf_counter() - t0 < 0.1
         assert x == f.parse_literal(f"t^{big % (f.order - 1)}")
         assert f.parse_literal(f"2*t^{f.order - 1} + t^{f.order}") == \
-            f.parse_literal("2") + f.generator
+            f.parse_literal("2") + t
         # the same values by repeated multiplication, for small exponents
         power = f.one
         for e in range(2 * f.order):
             assert f.parse_literal(f"t^{e}") == power
-            power = power * f.generator
+            power = power * t
 
 
 def test_literal_parsing_prime_and_rational():
@@ -526,7 +527,7 @@ def test_parse_field_spec():
 @given(st.fractions(), st.fractions(), st.fractions())
 def test_rational_axioms_hypothesis(a, b, c):
     q = rationals()
-    x, y, z = (q.scalar_from_int(0) for _ in range(3))
+    x, y, z = (q.zero for _ in range(3))
     x.v, y.v, z.v = a, b, c
     assert (x + y) + z == x + (y + z)
     assert x * (y + z) == x * y + x * z

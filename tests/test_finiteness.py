@@ -104,7 +104,7 @@ def test_flatten_faithful_roundtrip():
                 for s in els:
                     entries = [[alg_from_terms(GF3, m, []) for _ in range(d)]
                                for _ in range(d)]
-                    entries[i][j] = alg_basis(GF3, m, s).scale(GF3.scalar_from_int(2))
+                    entries[i][j] = alg_basis(GF3, m, s).scale(GF3.unrank(2))
                     mat = mat_from_entries(GF3, m, entries)
                     assert unflatten(flatten(mat), m, d) == mat
     rng = random.Random(23)

@@ -158,8 +158,7 @@ def test_dependence_scan_random_equals_support():
         elif monoid.spec_string() == "bicyclic":
             pool = _bicyclic_pool(monoid)
         else:
-            pool = [monoid.identity, monoid.generator(1), monoid.generator(2),
-                    monoid.generator(1) * monoid.generator(2)]
+            pool = [monoid.parse_element(t) for t in ("1", "x1", "x2", "x1x2")]
         for field in (GF2, GF3):
             for d in (1, 2):
                 for _ in range(5):
@@ -263,7 +262,7 @@ def test_matrix_from_action_roundtrip():
         elif monoid.spec_string() == "bicyclic":
             pool = _bicyclic_pool(monoid)
         else:
-            pool = [monoid.identity, monoid.generator(1), monoid.generator(2)]
+            pool = [monoid.parse_element(t) for t in ("1", "x1", "x2")]
         for field in (GF2, GF3, GF4):
             for d in (1, 2, 3):
                 a = rand_mat(rng, monoid, field, d, pool)
@@ -335,14 +334,14 @@ def test_verdict_matches_bruteforce():
     els = m.elements()
     import itertools
     for coeffs in itertools.product(range(2), repeat=2):
-        a = alg_from_terms(GF2, m, [(els[i], GF2.scalar_from_int(coeffs[i]))
+        a = alg_from_terms(GF2, m, [(els[i], GF2.unrank(coeffs[i]))
                                     for i in range(2)])
         rule = rule_from_matrix(mat_from_entries(GF2, m, [[a]]))
         outs = set()
         total = 0
         for vals in itertools.product(range(2), repeat=2):
             c = vector_pattern(m, GF2, 1, {
-                els[i]: (GF2.scalar_from_int(vals[i]),) for i in range(2)})
+                els[i]: (GF2.unrank(vals[i]),) for i in range(2)})
             out = lca_apply(rule, c, els)
             outs.add(tuple(out.value(e)[0].v for e in els))
             total += 1

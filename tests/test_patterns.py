@@ -30,7 +30,7 @@ from moca.patterns import (
 def vp(monoid, field, assigns):
     # assigns: {site: [ints]}
     return vector_pattern(monoid, field, len(next(iter(assigns.values()))),
-                          {m: tuple(field.scalar_from_int(x) for x in v)
+                          {m: tuple(field.parse_literal(str(x)) for x in v)
                            for m, v in assigns.items()})
 
 
@@ -265,7 +265,7 @@ def test_pattern_add_scale():
     a = vp(c2, q, {e: [1], g: [2]})
     b = vp(c2, q, {e: [3], g: [4]})
     s = pattern_add(a, b)
-    assert s.value(e) == (q.scalar_from_int(4),)
+    assert s.value(e) == (q.parse_literal("4"),)
     half = q.parse_literal("1/2")
     sc = pattern_scale(a, half)
     assert sc.value(g) == (q.one,)
@@ -349,7 +349,7 @@ def test_vector_pattern_dimension_checks():
 def test_freecomm_windowed_convolution():
     fc = free_commutative(2)
     f2 = field_make(2)
-    x1 = fc.generator(1)
+    x1 = fc.parse_element("x1")
     alpha = parse_alg_literal("x1 + x2", fc, f2)
     W = [fc.identity, x1]
     need = required_domain(W, alpha.support())
